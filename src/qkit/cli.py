@@ -7,7 +7,9 @@ common multiple of the image maxval, the side lengths minus one, and
 n - 1, so normalization g/maxval and every basis value are exact
 levels.  Reconstruction therefore dominates the input exactly and
 recompressing a reconstruction reproduces the coefficients bit for
-bit, which is what the round-trip tests pin down.
+bit, which is what the round-trip tests pin down.  Both methods, the
+triangular basis and a partition file, only choose the kernel per axis;
+the separable transform itself is one code path.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ import math
 import os
 import random
 import sys
+import warnings
 
-from qkit.fuzzy import FuzzyPartition, f_up, f_up_inverse, load_partition, luk_kernel
+from qkit.fuzzy import GridAlignmentWarning, load_partition, luk_kernel
 from qkit.morphology import (
     BOUNDED,
     WRAP,
@@ -30,6 +33,7 @@ from qkit.morphology import (
     image_leq,
     load_structuring,
     opening_grey,
+    structuring_denominator,
 )
 from qkit.pgm import PgmImage, read_pgm, write_pgm
 from qkit.qmodule import ModuleVector
@@ -91,39 +95,51 @@ def _pixel_from_value(carrier: Carrier, v, maxval: int) -> int:
 
 # ---------------------------------------------------------------- compress
 
-def _separable_direct(carrier, kern_w, kern_h, levels, width, height):
+def _separable_direct(kern_w, kern_h, levels):
     """Rows then columns; returns the coefficient matrix as row tuples."""
-    n = len(kern_w.y_index)
-    row_stage = []
-    for y in range(height):
-        vec = ModuleVector(carrier, kern_w.x_index, levels[y * width : (y + 1) * width])
-        row_stage.append(apply_direct(kern_w, vec).values)
-    cols = []
-    for k in range(n):
-        vec = ModuleVector(
-            carrier, kern_h.x_index, tuple(row_stage[y][k] for y in range(height))
-        )
-        cols.append(apply_direct(kern_h, vec).values)
-    m = len(kern_h.y_index)
-    return tuple(tuple(cols[k][i] for k in range(n)) for i in range(m))
+    q, width = kern_w.carrier, len(kern_w.x_index)
+    row_stage = [
+        apply_direct(kern_w, ModuleVector(q, kern_w.x_index, levels[i : i + width])).values
+        for i in range(0, len(levels), width)
+    ]
+    cols = [
+        apply_direct(kern_h, ModuleVector(q, kern_h.x_index, col)).values
+        for col in zip(*row_stage)
+    ]
+    return tuple(zip(*cols))
 
 
-def _separable_inverse(carrier, kern_w, kern_h, coeffs, width, height):
+def _separable_inverse(kern_w, kern_h, coeffs):
     """Inverts the column stage, then the row stage."""
-    n = len(kern_w.y_index)
-    cols = []
-    for k in range(n):
-        vec = ModuleVector(
-            carrier, kern_h.y_index, tuple(row[k] for row in coeffs)
-        )
-        cols.append(apply_inverse(kern_h, vec).values)
-    out = []
-    for y in range(height):
-        vec = ModuleVector(
-            carrier, kern_w.y_index, tuple(cols[k][y] for k in range(n))
-        )
-        out.extend(apply_inverse(kern_w, vec).values)
-    return tuple(out)
+    q = kern_w.carrier
+    cols = [
+        apply_inverse(kern_h, ModuleVector(q, kern_h.y_index, col)).values
+        for col in zip(*coeffs)
+    ]
+    return tuple(
+        v
+        for row in zip(*cols)
+        for v in apply_inverse(kern_w, ModuleVector(q, kern_w.y_index, row)).values
+    )
+
+
+def _axis_kernels(method, carrier, width, height, n, partition):
+    """Width and height kernels: the triangular basis with n components,
+    or the partition's kernel on both axes.  A misaligned grid is one
+    `warning:` line per distinct message, never Python warning text."""
+    if method == "partition-file":
+        if partition is None:
+            raise ValueError("the partition-file method needs --partition")
+        part = load_partition(partition, carrier)
+        if part.l != width or part.l != height:
+            raise ValueError(f"partition covers {part.l} nodes; image is {width}x{height}")
+        return part.kernel(), part.kernel()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", GridAlignmentWarning)
+        kernels = luk_kernel(n, width, carrier), luk_kernel(n, height, carrier)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return kernels
 
 
 def _format_level(carrier: Carrier, v) -> str:
@@ -170,7 +186,17 @@ def read_coefficients(path):
         carrier = FloatUnitQuantale(meta["tnorm"])
     else:
         raise ValueError(f"unknown carrier {meta['carrier']!r}")
-    rows, cols = int(meta["rows"]), int(meta["cols"])
+    # the header must fit before any kernel is sized from it
+    n, rows, cols = int(meta["n"]), int(meta["rows"]), int(meta["cols"])
+    width, height = int(meta["width"]), int(meta["height"])
+    if meta["method"] == "luk":
+        fits = 2 <= n <= min(width, height)
+    elif meta["method"] == "partition-file":
+        fits = n >= 1
+    else:
+        raise ValueError(f"unknown method {meta['method']!r}")
+    if not fits or rows != n or cols != n:
+        raise ValueError(f"header n={n} rows={rows} cols={cols} does not fit {width}x{height}")
     body = lines[body_at:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} coefficient rows, found {len(body)}")
@@ -183,52 +209,34 @@ def read_coefficients(path):
     return meta, carrier, tuple(matrix)
 
 
-def _compress_carrier(args, img: PgmImage, n: int) -> Carrier:
+def _carrier(args, d: int) -> Carrier:
+    """The --carrier choice, else the chain of denominator d."""
     if args.carrier is not None:
         return parse_carrier(args.carrier, args.tnorm)
-    d = math.lcm(img.maxval, max(img.width - 1, 1), max(img.height - 1, 1), n - 1)
     return ChainQuantale(d, args.tnorm)
 
 
 def cmd_compress(args) -> int:
     img = read_pgm(args.image)
     if args.method == "luk":
-        n = args.n
-        if n is None or n < 2:
+        if args.n is None or args.n < 2:
             raise ValueError("the triangular basis needs --n at least 2")
-        carrier = _compress_carrier(args, img, n)
-        kern_w = luk_kernel(n, img.width, carrier)
-        kern_h = luk_kernel(n, img.height, carrier)
-        levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
-        matrix = _separable_direct(carrier, kern_w, kern_h, levels, img.width, img.height)
+        # pixel levels and every basis value are exact on this chain
+        sides = max(img.width - 1, 1), max(img.height - 1, 1)
+        carrier = _carrier(args, math.lcm(img.maxval, *sides, args.n - 1))
     else:
-        if args.partition is None:
-            raise ValueError("--method partition-file needs --partition")
-        carrier = (
-            parse_carrier(args.carrier, args.tnorm)
-            if args.carrier is not None
-            else ChainQuantale(img.maxval, args.tnorm)
-        )
-        part = load_partition(args.partition, carrier)
-        if part.l != img.width or part.l != img.height:
-            raise ValueError(
-                f"partition covers {part.l} nodes; image is {img.width}x{img.height}"
-            )
-        n = part.n
-        levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
-        row_stage = [
-            f_up(part, levels[y * img.width : (y + 1) * img.width])
-            for y in range(img.height)
-        ]
-        matrix = tuple(
-            zip(*(f_up(part, tuple(row[k] for row in row_stage)) for k in range(n)))
-        )
+        carrier = _carrier(args, img.maxval)
+    kern_w, kern_h = _axis_kernels(
+        args.method, carrier, img.width, img.height, args.n, args.partition
+    )
+    levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
+    matrix = _separable_direct(kern_w, kern_h, levels)
     meta = {
         "method": args.method,
         "carrier": "float" if isinstance(carrier, FloatUnitQuantale) else "chain",
         "tnorm": carrier.tnorm,
         "denominator": getattr(carrier, "d", 0),
-        "n": n,
+        "n": len(matrix),
         "width": img.width,
         "height": img.height,
         "maxval": img.maxval,
@@ -241,28 +249,11 @@ def cmd_compress(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     meta, carrier, matrix = read_coefficients(args.coefficients)
-    width, height = int(meta["width"]), int(meta["height"])
-    maxval = int(meta["maxval"])
-    n = int(meta["n"])
-    if meta["method"] == "luk":
-        kern_w = luk_kernel(n, width, carrier)
-        kern_h = luk_kernel(n, height, carrier)
-        levels = _separable_inverse(carrier, kern_w, kern_h, matrix, width, height)
-    elif meta["method"] == "partition-file":
-        if args.partition is None:
-            raise ValueError("reconstructing partition-file coefficients needs --partition")
-        part = load_partition(args.partition, carrier)
-        if part.n != n or part.l != width or part.l != height:
-            raise ValueError("partition does not match the coefficients header")
-        cols = [
-            f_up_inverse(part, tuple(row[k] for row in matrix)) for k in range(n)
-        ]
-        levels = []
-        for y in range(height):
-            levels.extend(f_up_inverse(part, tuple(cols[k][y] for k in range(n))))
-        levels = tuple(levels)
-    else:
-        raise ValueError(f"unknown method {meta['method']!r}")
+    width, height, maxval, n = (int(meta[k]) for k in ("width", "height", "maxval", "n"))
+    kern_w, kern_h = _axis_kernels(meta["method"], carrier, width, height, n, args.partition)
+    if len(kern_w.y_index) != n:
+        raise ValueError("partition does not match the coefficients header")
+    levels = _separable_inverse(kern_w, kern_h, matrix)
     pixels = tuple(_pixel_from_value(carrier, v, maxval) for v in levels)
     if isinstance(carrier, ChainQuantale) and any(
         v * maxval % carrier.d for v in levels
@@ -281,11 +272,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_morph(args) -> int:
     img = read_pgm(args.image)
-    carrier = (
-        parse_carrier(args.carrier, args.tnorm)
-        if args.carrier is not None
-        else ChainQuantale(img.maxval, args.tnorm)
-    )
+    # the least chain on which every pixel and every weight is a level
+    carrier = _carrier(args, math.lcm(img.maxval, structuring_denominator(args.se)))
     se = load_structuring(args.se, carrier)
     grid = Grid(img.width, img.height, mode=args.mode)
     levels = _levels_from_pixels(carrier, img.pixels, img.maxval)

@@ -7,13 +7,15 @@ chain, so direct-then-inverse reconstruction of coefficient vectors
 is exact.  A FuzzyPartition is the general sampled form: any basis
 table satisfying the covering condition (every node is seen by some
 basis function) and the density condition (every basis function sees
-some node).  The upper and lower transforms are written out as the
-joins and meets they are; separate tests pin them to the kernel
-transforms they secretly equal.
+some node).  The upper and lower transforms are the kernel transforms
+of the partition's node-by-component kernel and of its transpose, run
+by `apply_direct`/`apply_inverse`; only the join variant of the lower
+transform, which is no kernel transform, is written out.
 
-All grid arithmetic runs in Fraction and is scaled into integer chain
-levels, so orthonormality and reconstruction checks are exact rather
-than tolerance-based.
+The basis is sampled in integer arithmetic, p_k(j) = max(0, L -
+|N j - k L|) / L with L = l-1 and N = n-1, and scaled onto integer
+chain levels, so orthonormality and reconstruction checks are exact
+rather than tolerance-based.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from qkit.quantale import (
@@ -29,7 +32,8 @@ from qkit.quantale import (
     FloatUnitQuantale,
     LUKASIEWICZ,
 )
-from qkit.transform import Kernel
+from qkit.qmodule import ModuleVector
+from qkit.transform import Kernel, apply_direct, apply_inverse
 
 
 class GridAlignmentWarning(UserWarning):
@@ -62,14 +66,12 @@ def luk_basis_eval(n: int, k: int, x) -> Fraction:
     return Fraction(0)
 
 
-def _as_carrier_value(carrier: Carrier, v: Fraction):
-    # chains store levels, the float carrier stores the raw value
-    if isinstance(carrier, ChainQuantale):
-        scaled = v * carrier.d
-        if scaled.denominator != 1:
-            raise ValueError(f"value {v} is not a multiple of 1/{carrier.d}")
-        return int(scaled)
-    return float(v)
+def _chain_level(d: int, num: int, den: int) -> int:
+    """The level of num/den on a chain of denominator d, if it is one."""
+    if num * d % den:
+        g = math.gcd(num, den)
+        raise ValueError(f"value {num // g}/{den // g} is not a multiple of 1/{d}")
+    return num * d // den
 
 
 def _default_carrier(n: int, l: int) -> ChainQuantale:
@@ -77,14 +79,13 @@ def _default_carrier(n: int, l: int) -> ChainQuantale:
 
 
 def _basis_grid(n: int, l: int, carrier: Carrier) -> list[list]:
-    # grid[k][j] = p_k at node j/(l-1)
-    return [
-        [
-            _as_carrier_value(carrier, luk_basis_eval(n, k, Fraction(j, l - 1)))
-            for j in range(l)
-        ]
-        for k in range(n)
-    ]
+    # grid[k][j] = p_k at node j/L = max(0, L - |N j - k L|) / L
+    L, N = l - 1, n - 1
+    nums = [[max(0, L - abs(N * j - k * L)) for j in range(l)] for k in range(n)]
+    # chains store levels, the float carrier stores the raw value
+    if isinstance(carrier, ChainQuantale):
+        return [[_chain_level(carrier.d, v, L) for v in row] for row in nums]
+    return [[v / L for v in row] for row in nums]
 
 
 def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
@@ -103,12 +104,13 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
         raise ValueError("need at least as many nodes as components")
     if carrier is None:
         carrier = _default_carrier(n, l)
-    positions = [Fraction(k * (l - 1), n - 1) for k in range(n)]
-    if (l - 1) % (n - 1) == 0:
-        y_index = tuple(int(pos) for pos in positions)
+    L, N = l - 1, n - 1
+    if L % N == 0:
+        y_index = tuple(k * L // N for k in range(n))
         embedding = None
     else:
-        y_index = tuple(math.floor(pos + Fraction(1, 2)) for pos in positions)
+        # peak k sits at k L / N; round half up to the nearest node
+        y_index = tuple((2 * k * L + N) // (2 * N) for k in range(n))
         embedding = y_index
         warnings.warn(
             f"grid of {l} nodes misses the peaks of {n} components; "
@@ -116,8 +118,7 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
             GridAlignmentWarning,
             stacklevel=2,
         )
-    grid = _basis_grid(n, l, carrier)
-    rows = tuple(tuple(grid[k][j] for k in range(n)) for j in range(l))
+    rows = tuple(zip(*_basis_grid(n, l, carrier)))
     return Kernel(carrier, tuple(range(l)), y_index, rows, embedding)
 
 
@@ -160,12 +161,14 @@ class FuzzyPartition:
     def l(self) -> int:
         return len(self.table[0])
 
+    @cached_property
+    def _kernel(self) -> Kernel:
+        rows = tuple(zip(*self.table))
+        return Kernel(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
+
     def kernel(self) -> Kernel:
         """Node-by-component kernel whose direct transform is f_up."""
-        rows = tuple(
-            tuple(self.table[k][j] for k in range(self.n)) for j in range(self.l)
-        )
-        return Kernel(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
+        return self._kernel
 
 
 def luk_partition(n: int, l: int, carrier: Carrier | None = None) -> FuzzyPartition:
@@ -180,76 +183,56 @@ def luk_partition(n: int, l: int, carrier: Carrier | None = None) -> FuzzyPartit
     return FuzzyPartition(carrier, tuple(tuple(row) for row in _basis_grid(n, l, carrier)))
 
 
-def _samples(partition: FuzzyPartition, f: Sequence) -> tuple:
+def _samples(partition: FuzzyPartition, f: Sequence) -> ModuleVector:
     vals = tuple(f)
     if len(vals) != partition.l:
         raise ValueError(f"expected {partition.l} samples, got {len(vals)}")
-    for v in vals:
-        partition.carrier.require(v)
-    return vals
+    return ModuleVector(partition.carrier, tuple(range(partition.l)), vals)
 
 
-def _coefficients(partition: FuzzyPartition, coeffs: Sequence) -> tuple:
+def _coefficients(partition: FuzzyPartition, coeffs: Sequence) -> ModuleVector:
     vals = tuple(coeffs)
     if len(vals) != partition.n:
         raise ValueError(f"expected {partition.n} coefficients, got {len(vals)}")
-    for v in vals:
-        partition.carrier.require(v)
-    return vals
+    return ModuleVector(partition.carrier, tuple(range(partition.n)), vals)
 
 
 def f_up(partition: FuzzyPartition, f: Sequence) -> tuple:
-    """Upper coefficients: the join over nodes of sample times basis value."""
-    vals = _samples(partition, f)
-    q = partition.carrier
-    return tuple(
-        q.join(q.mul(vals[j], row[j]) for j in range(partition.l))
-        for row in partition.table
-    )
+    """Upper coefficients: the direct transform of the partition kernel."""
+    return apply_direct(partition.kernel(), _samples(partition, f)).values
 
 
 def f_up_inverse(partition: FuzzyPartition, coeffs: Sequence) -> tuple:
-    """Reconstruction: at each node, the meet over components of
-    coefficient divided by basis value.  Dominates the input of f_up."""
-    cs = _coefficients(partition, coeffs)
-    q = partition.carrier
-    return tuple(
-        q.meet(q.rres(cs[k], partition.table[k][j]) for k in range(partition.n))
-        for j in range(partition.l)
-    )
+    """Reconstruction, the inverse transform of the partition kernel;
+    it dominates the input of f_up."""
+    return apply_inverse(partition.kernel(), _coefficients(partition, coeffs)).values
 
 
 def f_down(partition: FuzzyPartition, f: Sequence, variant: str = "join") -> tuple:
     """Lower coefficients as the join over nodes of residua.
 
-    The join form is the default.  The meet variant replaces the outer
-    join with a meet; it is the one that forms an adjoint pair with
-    f_down_inverse (reconstruction below the input), so both are kept.
+    The join form is the default.  The meet variant, the inverse
+    transform of the transposed partition kernel, is the one that forms
+    an adjoint pair with f_down_inverse (reconstruction below the
+    input), so both are kept.
     """
     vals = _samples(partition, f)
-    q = partition.carrier
     if variant == "join":
+        q = partition.carrier
         return tuple(
-            q.join(q.lres(row[j], vals[j]) for j in range(partition.l))
+            q.join(q.lres(a, v) for a, v in zip(row, vals.values))
             for row in partition.table
         )
     if variant == "meet":
-        return tuple(
-            q.meet(q.rres(vals[j], row[j]) for j in range(partition.l))
-            for row in partition.table
-        )
+        return apply_inverse(partition.kernel().transpose(), vals).values
     raise ValueError(f"unknown variant {variant!r}, expected 'join' or 'meet'")
 
 
 def f_down_inverse(partition: FuzzyPartition, coeffs: Sequence) -> tuple:
-    """Reconstruction from lower coefficients: the join over components
-    of coefficient times basis value."""
-    cs = _coefficients(partition, coeffs)
-    q = partition.carrier
-    return tuple(
-        q.join(q.mul(cs[k], partition.table[k][j]) for k in range(partition.n))
-        for j in range(partition.l)
-    )
+    """Reconstruction from lower coefficients: the direct transform of
+    the transposed partition kernel."""
+    kt = partition.kernel().transpose()
+    return apply_direct(kt, _coefficients(partition, coeffs)).values
 
 
 def save_partition(path, partition: FuzzyPartition) -> None:
@@ -294,6 +277,7 @@ def _parse_value(carrier: Carrier, token: str):
         return float(token)
     if isinstance(carrier, ChainQuantale):
         if "." in token or "/" in token:
-            return _as_carrier_value(carrier, Fraction(token))
+            v = Fraction(token)
+            return _chain_level(carrier.d, v.numerator, v.denominator)
         return int(token)
     raise ValueError(f"cannot parse values for carrier {carrier!r}")

@@ -22,6 +22,7 @@ grid squared; a full-grid element is allowed but quadratic.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,12 +411,8 @@ def _format_weight(se: StructuringElement, offset) -> str:
     return repr(v)
 
 
-def load_structuring(path, carrier: Carrier | None = None) -> StructuringElement:
-    """Read a structuring element; defaults to the Lukasiewicz float
-    carrier.  Chain carriers scale decimal or fraction tokens onto
-    exact levels and refuse values that land between levels."""
-    if carrier is None:
-        carrier = FloatUnitQuantale(LUKASIEWICZ)
+def _structuring_tokens(path) -> tuple:
+    """Box width, origin and the weight tokens of an element file."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) < 4:
@@ -426,6 +423,22 @@ def load_structuring(path, carrier: Carrier | None = None) -> StructuringElement
         raise ValueError("structuring element box must be positive")
     if len(body) != w * h:
         raise ValueError(f"expected {w * h} weights, found {len(body)}")
+    return w, ox, oy, body
+
+
+def structuring_denominator(path) -> int:
+    """The least chain denominator with every weight of the file a level."""
+    _, _, _, body = _structuring_tokens(path)
+    return math.lcm(*(Fraction(tok).denominator for tok in body))
+
+
+def load_structuring(path, carrier: Carrier | None = None) -> StructuringElement:
+    """Read a structuring element; defaults to the Lukasiewicz float
+    carrier.  Chain carriers scale decimal or fraction tokens onto
+    exact levels and refuse values that land between levels."""
+    if carrier is None:
+        carrier = FloatUnitQuantale(LUKASIEWICZ)
+    w, ox, oy, body = _structuring_tokens(path)
     entries = []
     for i, tok in enumerate(body):
         x, y = i % w, i // w

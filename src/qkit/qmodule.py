@@ -840,14 +840,15 @@ def nucleus_check(
 
 
 def save_vector(m: ModuleVector, path) -> None:
-    """Text form: `<kind> <denominator> <size>` then one value per line."""
+    """Text form: `<kind> <denominator> <size> <t-norm>` then one value
+    per line."""
     from qkit.quantale import ChainQuantale, FloatUnitQuantale
 
     if isinstance(m.carrier, ChainQuantale):
-        head = f"chain {m.carrier.d} {len(m.values)}"
+        head = f"chain {m.carrier.d} {len(m.values)} {m.carrier.tnorm}"
         body = [str(v) for v in m.values]
     elif isinstance(m.carrier, FloatUnitQuantale):
-        head = f"float 0 {len(m.values)}"
+        head = f"float 0 {len(m.values)} {m.carrier.tnorm}"
         body = [repr(float(v)) for v in m.values]
     else:
         raise ValueError("only chain and float vectors serialize to text")
@@ -857,7 +858,7 @@ def save_vector(m: ModuleVector, path) -> None:
 
 
 def load_vector(path, carrier: Carrier | None = None) -> ModuleVector:
-    from qkit.quantale import ChainQuantale, FloatUnitQuantale
+    from qkit.quantale import LUKASIEWICZ, ChainQuantale, FloatUnitQuantale
 
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
@@ -865,13 +866,16 @@ def load_vector(path, carrier: Carrier | None = None) -> ModuleVector:
         raise ValueError("truncated vector file")
     kind, denom, size = tokens[0], int(tokens[1]), int(tokens[2])
     body = tokens[3:]
+    # the t-norm is the one word among the numbers; files without it
+    # predate it and are Lukasiewicz
+    tnorm = body.pop(0) if body and body[0].isalpha() else LUKASIEWICZ
     if len(body) != size:
         raise ValueError(f"expected {size} values, found {len(body)}")
     if kind == "chain":
-        carrier = carrier or ChainQuantale(denom)
+        carrier = carrier or ChainQuantale(denom, tnorm)
         values = tuple(int(v) for v in body)
     elif kind == "float":
-        carrier = carrier or FloatUnitQuantale()
+        carrier = carrier or FloatUnitQuantale(tnorm)
         values = tuple(float(v) for v in body)
     else:
         raise ValueError(f"unknown carrier kind {kind!r}")

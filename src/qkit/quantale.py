@@ -126,7 +126,8 @@ class ChainQuantale(Carrier):
         return self.d
 
     def contains(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x <= self.d
+        # an exact type test: bool is an int subclass, and True is no level
+        return type(x) is int and 0 <= x <= self.d
 
     def leq(self, x: int, y: int) -> bool:
         return x <= y
@@ -192,7 +193,8 @@ class FloatUnitQuantale(Carrier):
         return 1.0
 
     def contains(self, x) -> bool:
-        return isinstance(x, (int, float)) and 0.0 <= x <= 1.0
+        # exact types, so that booleans are rejected
+        return type(x) in (float, int) and 0.0 <= x <= 1.0
 
     def eq(self, x: float, y: float) -> bool:
         return abs(x - y) <= self.tolerance

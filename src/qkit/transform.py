@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from qkit.quantale import Carrier, CarrierMismatchError, ChainQuantale, FloatUnitQuantale
+from qkit.quantale import (
+    Carrier, CarrierMismatchError, ChainQuantale, FloatUnitQuantale, LUKASIEWICZ
+)
 from qkit.qmodule import (
     FreeModule,
     ModuleVector,
@@ -473,8 +475,8 @@ def random_strong_kernel(
 
 
 def save_kernel(p: Kernel, path) -> None:
-    """Text form: `carrier=<kind> d=<denominator> rows=|X| cols=|Y|`,
-    then one row of entries per line."""
+    """Text form: `carrier=<kind> d=<denominator> tnorm=<t-norm>
+    rows=|X| cols=|Y|`, then one row of entries per line."""
     if isinstance(p.carrier, ChainQuantale):
         kind, d = "chain", p.carrier.d
         fmt: Callable = str
@@ -483,7 +485,10 @@ def save_kernel(p: Kernel, path) -> None:
         fmt = lambda v: repr(float(v))  # noqa: E731
     else:
         raise ValueError("only chain and float kernels serialize to text")
-    lines = [f"carrier={kind} d={d} rows={len(p.x_index)} cols={len(p.y_index)}"]
+    lines = [
+        f"carrier={kind} d={d} tnorm={p.carrier.tnorm} "
+        f"rows={len(p.x_index)} cols={len(p.y_index)}"
+    ]
     for row in p.rows:
         lines.append(" ".join(fmt(v) for v in row))
     with open(path, "w", encoding="ascii") as fh:
@@ -499,11 +504,13 @@ def load_kernel(path, carrier: Carrier | None = None) -> Kernel:
     body = lines[1:]
     if len(body) != rows_n:
         raise ValueError(f"expected {rows_n} rows, found {len(body)}")
+    # files written before the t-norm was recorded are Lukasiewicz
+    tnorm = head.get("tnorm", LUKASIEWICZ)
     if kind == "chain":
-        carrier = carrier or ChainQuantale(int(head["d"]))
+        carrier = carrier or ChainQuantale(int(head["d"]), tnorm)
         conv: Callable = int
     elif kind == "float":
-        carrier = carrier or FloatUnitQuantale()
+        carrier = carrier or FloatUnitQuantale(tnorm)
         conv = float
     else:
         raise ValueError(f"unknown carrier kind {kind!r}")

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 
@@ -202,6 +203,64 @@ def test_corrupt_coefficients_rejected(tmp_path):
     missing = tmp_path / "missing.coef"
     missing.write_text("qkit-coefficients v1\nmethod=luk\n0 0\n")
     assert main(["reconstruct", str(missing), str(tmp_path / "x.pgm")]) == 2
+
+
+def test_coefficient_header_checked_before_kernels(tmp_path, capsys):
+    base = dict(
+        method="luk", carrier="chain", tnorm="lukasiewicz", denominator=8,
+        n=3, width=5, height=5, maxval=8, rows=3, cols=3,
+    )
+    bad = tmp_path / "bad.coef"
+    for change in (
+        dict(n=4),  # the matrix is 3x3
+        dict(n=6, rows=6, cols=6),  # more components than nodes
+        dict(n=1, rows=1, cols=1),  # the triangular basis needs two
+        dict(method="partition-file", n=0, rows=0, cols=0),
+        dict(method="wavelet"),
+    ):
+        meta = {**base, **change}
+        head = "".join(f"{k}={v}\n" for k, v in meta.items())
+        body = "0 " * meta["cols"] + "\n"
+        bad.write_text("qkit-coefficients v1\n" + head + body * meta["rows"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reconstruct", str(bad), str(tmp_path / "x.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (change, err)
+
+
+def test_misaligned_grid_warns_on_one_line(tmp_path, capsys):
+    src = tmp_path / "ramp.pgm"
+    write_pgm(src, ramp_image(9, 9, 8))
+    coef, back = tmp_path / "m.coef", tmp_path / "m.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compress", str(src), str(coef), "--n", "4"]) == 0
+        err = capsys.readouterr().err
+        assert main(["reconstruct", str(coef), str(back)]) == 0
+    assert err == (
+        "warning: grid of 9 nodes misses the peaks of 4 components; "
+        "rounding to nearest nodes, reconstruction will not be exact\n"
+    )
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == err.strip()
+    assert all(ln.startswith("warning: ") for ln in lines)
+
+
+def test_morph_default_carrier_covers_element_weights(tmp_path):
+    img = PgmImage(5, 4, 255, tuple(range(0, 255, 13)))
+    ipath = tmp_path / "i.pgm"
+    write_pgm(ipath, img)
+    se = tmp_path / "se.txt"
+    se.write_text("3 3 1 1\n1/2 1/2 1/2\n1/2 1 1/2\n1/2 1/2 1/2\n")
+    default, explicit = tmp_path / "d.pgm", tmp_path / "e.pgm"
+    assert main(["morph", "open", str(ipath), str(se), str(default)]) == 0
+    assert (
+        main(["morph", "open", str(ipath), str(se), str(explicit), "--carrier", "chain:510"])
+        == 0
+    )
+    assert default.read_bytes() == explicit.read_bytes()
 
 
 def test_morph_identity_and_bounds(tmp_path, capsys):

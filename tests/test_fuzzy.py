@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from qkit.fuzzy import (
     luk_partition,
     save_partition,
 )
-from qkit.quantale import GODEL, LUKASIEWICZ, ChainQuantale, FloatUnitQuantale
+from qkit.quantale import GODEL, LUKASIEWICZ, PRODUCT, ChainQuantale, FloatUnitQuantale
 from qkit.qmodule import ModuleVector, enumerate_vectors, random_vector, vec_eq
 from qkit.transform import (
     apply_direct,
@@ -27,6 +29,39 @@ from qkit.transform import (
     projective_coder,
     transform_nucleus,
 )
+
+
+# Reference forms: the transforms written out as the joins and meets
+# they are, independent of the kernel engine the library runs them on.
+
+def ref_f_up(part, f):
+    q = part.carrier
+    return tuple(
+        q.join(q.mul(f[j], row[j]) for j in range(part.l)) for row in part.table
+    )
+
+
+def ref_f_up_inverse(part, coeffs):
+    q = part.carrier
+    return tuple(
+        q.meet(q.rres(coeffs[k], part.table[k][j]) for k in range(part.n))
+        for j in range(part.l)
+    )
+
+
+def ref_f_down_meet(part, f):
+    q = part.carrier
+    return tuple(
+        q.meet(q.rres(f[j], row[j]) for j in range(part.l)) for row in part.table
+    )
+
+
+def ref_f_down_inverse(part, coeffs):
+    q = part.carrier
+    return tuple(
+        q.join(q.mul(coeffs[k], part.table[k][j]) for k in range(part.n))
+        for j in range(part.l)
+    )
 
 
 def test_basis_values_frozen():
@@ -127,6 +162,44 @@ def test_luk_kernel_float_carrier():
     assert classify_coder(k).grade() == "orthonormal"
 
 
+def test_luk_kernel_grid_matches_exact_basis():
+    # the integer grid against the Fraction reference, value for
+    # value and type for type, on aligned and misaligned grids
+    for n in range(2, 9):
+        for l in range(n, 30):
+            d = math.lcm(l - 1, n - 1)
+            carriers = (
+                ChainQuantale(d, LUKASIEWICZ),
+                ChainQuantale(d, GODEL),
+                FloatUnitQuantale(LUKASIEWICZ),
+                FloatUnitQuantale(PRODUCT),
+            )
+            for q in carriers:
+                if isinstance(q, ChainQuantale):
+                    conv = lambda v: int(v * d)  # noqa: E731
+                else:
+                    conv = float
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", GridAlignmentWarning)
+                    k = luk_kernel(n, l, q)
+                expect = tuple(
+                    tuple(conv(luk_basis_eval(n, c, Fraction(j, l - 1))) for c in range(n))
+                    for j in range(l)
+                )
+                assert k.rows == expect, (n, l, q)
+                assert all(
+                    type(v) is type(e)
+                    for row, erow in zip(k.rows, expect)
+                    for v, e in zip(row, erow)
+                )
+                peaks = tuple(
+                    math.floor(Fraction(c * (l - 1), n - 1) + Fraction(1, 2))
+                    for c in range(n)
+                )
+                assert k.y_index == peaks, (n, l)
+                assert luk_partition(n, l, q).table == tuple(zip(*expect))
+
+
 def test_luk_kernel_rejects_bad_shapes():
     with pytest.raises(ValueError):
         luk_kernel(1, 5)
@@ -197,11 +270,25 @@ def test_f_up_matches_kernel_transform():
             continue
     for part in cases:
         k = part.kernel()
+        assert part.kernel() is k
         for _ in range(25):
             f = random_vector(part.carrier, k.x_index, rng)
-            assert f_up(part, f.values) == apply_direct(k, f).values
+            assert f_up(part, f.values) == ref_f_up(part, f.values)
             g = random_vector(part.carrier, k.y_index, rng)
-            assert f_up_inverse(part, g.values) == apply_inverse(k, g).values
+            assert f_up_inverse(part, g.values) == ref_f_up_inverse(part, g.values)
+
+
+def test_f_up_matches_reference_on_float_carriers():
+    rng = random.Random(14)
+    for tnorm in (LUKASIEWICZ, GODEL, PRODUCT):
+        part = luk_partition(4, 10, carrier=FloatUnitQuantale(tnorm))
+        for _ in range(20):
+            f = tuple(rng.random() for _ in range(part.l))
+            c = tuple(rng.random() for _ in range(part.n))
+            assert f_up(part, f) == ref_f_up(part, f)
+            assert f_up_inverse(part, c) == ref_f_up_inverse(part, c)
+            assert f_down(part, f, variant="meet") == ref_f_down_meet(part, f)
+            assert f_down_inverse(part, c) == ref_f_down_inverse(part, c)
 
 
 def test_f_down_matches_transposed_kernel_transform():
@@ -210,10 +297,12 @@ def test_f_down_matches_transposed_kernel_transform():
     kt = part.kernel().transpose()
     for _ in range(40):
         f = random_vector(part.carrier, tuple(range(part.l)), rng)
-        meet_form = f_down(part, f.values, variant="meet")
+        meet_form = ref_f_down_meet(part, f.values)
+        assert f_down(part, f.values, variant="meet") == meet_form
         assert meet_form == apply_inverse(kt, f).values
         g = random_vector(part.carrier, tuple(range(part.n)), rng)
-        assert f_down_inverse(part, g.values) == apply_direct(kt, g).values
+        assert f_down_inverse(part, g.values) == ref_f_down_inverse(part, g.values)
+        assert ref_f_down_inverse(part, g.values) == apply_direct(kt, g).values
 
 
 def test_f_down_dual_adjunction():

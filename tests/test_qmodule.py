@@ -293,6 +293,17 @@ def test_vector_serialization_roundtrip(tmp_path):
     save_vector(fm, tmp_path / "f.txt")
     fback = load_vector(tmp_path / "f.txt")
     assert fback.values == (0.25, 1.0)
+    # the t-norm survives the round trip
+    for m in (
+        v(0, 2, 4, carrier=ChainQuantale(4, "godel")),
+        ModuleVector(FloatUnitQuantale("product"), (0, 1), (0.25, 1.0)),
+    ):
+        save_vector(m, p)
+        back = load_vector(p)
+        assert back.carrier == m.carrier and back.values == m.values
+    # files without a t-norm load as Lukasiewicz
+    p.write_text("chain 4 3\n0\n2\n4\n")
+    assert load_vector(p).carrier == Q4
 
 
 def test_random_vector_respects_carrier():

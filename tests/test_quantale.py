@@ -117,6 +117,12 @@ def test_carrier_mismatch_rejected():
         CHAIN4_LUK.join([2, 9])
     with pytest.raises(CarrierMismatchError):
         CHAIN4_LUK.join([0.5])  # floats are not chain levels
+    # bool is an int subclass, but neither True nor False is an element
+    for q in (CHAIN4_LUK, CHAIN4_GODEL, FloatUnitQuantale()):
+        assert not q.contains(True) and not q.contains(False)
+        with pytest.raises(CarrierMismatchError):
+            q.join([True])
+    assert CHAIN4_LUK.contains(1) and FloatUnitQuantale().contains(1)
     with pytest.raises(NotFiniteError):
         residual_by_search(FloatUnitQuantale(), 0.5, 0.25)
 

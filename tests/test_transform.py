@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from qkit.quantale import ChainQuantale, Monoid, PowersetMonoidQuantale
+from qkit.quantale import (
+    GODEL,
+    PRODUCT,
+    ChainQuantale,
+    FloatUnitQuantale,
+    Monoid,
+    PowersetMonoidQuantale,
+)
 from qkit.qmodule import (
     FreeModule,
     ModuleVector,
@@ -375,4 +382,20 @@ def test_kernel_serialization_roundtrip(tmp_path):
     assert back.rows == p.rows
     assert back.carrier == Q4
     txt = path.read_text()
-    assert txt.splitlines()[0] == "carrier=chain d=4 rows=3 cols=2"
+    assert txt.splitlines()[0] == "carrier=chain d=4 tnorm=lukasiewicz rows=3 cols=2"
+    # the t-norm survives the round trip
+    for q, x, y in (
+        (ChainQuantale(4, GODEL), (0, 1, 2), (0, 1)),
+        (FloatUnitQuantale(PRODUCT), (0, 1), (0, 1, 2)),
+    ):
+        if q.is_finite:
+            p = random_kernel(q, x, y, rng)
+        else:
+            rows = tuple(tuple(rng.random() for _ in y) for _ in x)
+            p = Kernel(q, x, y, rows)
+        save_kernel(p, path)
+        back = load_kernel(path)
+        assert back.carrier == q and back.rows == p.rows
+    # files without a t-norm field load as Lukasiewicz
+    path.write_text("carrier=chain d=4 rows=1 cols=2\n4 0\n")
+    assert load_kernel(path).carrier == Q4
