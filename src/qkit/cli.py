@@ -286,9 +286,9 @@ def cmd_morph(args) -> int:
     }
     result = ops[args.op](grey, se)
     if args.check_adjunction:
-        ok = image_leq(opening_grey(grey, se), grey) and image_leq(
-            grey, closing_grey(grey, se)
-        )
+        opened = result if args.op == "open" else opening_grey(grey, se)
+        closed = result if args.op == "close" else closing_grey(grey, se)
+        ok = image_leq(opened, grey) and image_leq(grey, closed)
         print(f"adjunction: {'pass' if ok else 'fail'}")
         if not ok:
             return 1

@@ -17,8 +17,9 @@ bounded erosion the exact residual of the clipped dilation.  The price
 is that translation invariance fails at the edges, so only wrap mode
 gets the invariance suite.
 
-Costs scale with the support of the structuring element, not with the
-grid squared; a full-grid element is allowed but quadratic.
+Grey dilation and erosion are |SE| row passes of O(cells), each through
+a memo of one weight against the image's distinct levels; bounded passes
+keep the skip rule.  A full-grid element is allowed but quadratic.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from qkit.quantale import (
@@ -218,8 +220,7 @@ class GreyImage:
 
     @classmethod
     def from_rows(cls, grid: Grid, carrier: Carrier, rows) -> "GreyImage":
-        flat = tuple(v for row in rows for v in row)
-        return cls(grid, carrier, flat)
+        return cls(grid, carrier, tuple(chain.from_iterable(rows)))
 
     def at(self, cell):
         x, y = cell
@@ -248,36 +249,45 @@ def set_from_image(image: GreyImage) -> frozenset:
 
 
 def translate_image(image: GreyImage, offset) -> GreyImage:
-    grid, q = image.grid, image.carrier
-    neg = (-offset[0], -offset[1])
-    vals = []
-    for c in grid.cells():
-        src = grid.shift(c, neg)
-        vals.append(q.bot if src is None else image.at(src))
-    return GreyImage(grid, q, tuple(vals))
+    return _row_shift(image, -1, image.carrier.bot, None, None, ((offset, None),))
 
 
-def _require_match(image: GreyImage, se: StructuringElement):
+def _row_shift(image: GreyImage, sign, fill, combine, op, entries) -> GreyImage:
+    """Cells start at `fill`; per (a, w) of `entries`, in order, c becomes
+    combine(c, op(w, X(c + sign a))), or X(c + sign a) if `combine` is None."""
+    grid, rows, levels = image.grid, image.rows(), set(image.values)
+    w, h, wrap = grid.width, grid.height, grid.mode == WRAP
+    acc = [[fill] * w for _ in range(h)]
+    for (dx, dy), weight in entries:
+        ex, ey = sign * dx, sign * dy
+        if combine is not None:
+            get = {v: op(weight, v) for v in levels}.__getitem__
+        if wrap:
+            k, x0, x1, ys = ex % w, 0, w, range(h)
+        else:
+            x0, x1 = max(0, -ex), min(w, w - ex)
+            ys = range(max(0, -ey), min(h, h - ey)) if x0 < x1 else ()
+        for y in ys:
+            row, out = rows[(y + ey) % h], acc[y]
+            src = row[k:] + row[:k] if wrap else row[x0 + ex : x1 + ex]
+            out[x0:x1] = src if combine is None else map(
+                combine, out[x0:x1], map(get, src)
+            )
+    return GreyImage.from_rows(grid, image.carrier, acc)
+
+
+def _shared_carrier(image: GreyImage, se: StructuringElement) -> Carrier:
     if image.carrier != se.carrier:
         raise CarrierMismatchError(
             "image and structuring element live on different carriers"
         )
+    return image.carrier
 
 
 def dilate_grey(image: GreyImage, se: StructuringElement) -> GreyImage:
     """At y: the join over offsets a of A(a) * X(y - a)."""
-    _require_match(image, se)
-    grid, q = image.grid, image.carrier
-    out = []
-    for c in grid.cells():
-        acc = q.bot
-        for off, w in se.entries:
-            src = grid.shift(c, (-off[0], -off[1]))
-            if src is None:
-                continue
-            acc = q.join2(acc, q.mul(w, image.at(src)))
-        out.append(acc)
-    return GreyImage(grid, q, tuple(out))
+    q = _shared_carrier(image, se)
+    return _row_shift(image, -1, q.bot, q.join2, q.mul, se.entries)
 
 
 def erode_grey(image: GreyImage, se: StructuringElement) -> GreyImage:
@@ -286,18 +296,8 @@ def erode_grey(image: GreyImage, se: StructuringElement) -> GreyImage:
     Offsets leaving a bounded grid impose nothing, which keeps this the
     exact residual of the clipped dilation.
     """
-    _require_match(image, se)
-    grid, q = image.grid, image.carrier
-    out = []
-    for c in grid.cells():
-        acc = q.top
-        for off, w in se.entries:
-            tgt = grid.shift(c, off)
-            if tgt is None:
-                continue
-            acc = q.meet2(acc, q.lres(w, image.at(tgt)))
-        out.append(acc)
-    return GreyImage(grid, q, tuple(out))
+    q = _shared_carrier(image, se)
+    return _row_shift(image, 1, q.top, q.meet2, q.lres, se.entries)
 
 
 def opening_grey(image: GreyImage, se: StructuringElement) -> GreyImage:
@@ -369,16 +369,16 @@ def kernel_of_structuring(se: StructuringElement, grid: Grid) -> Kernel:
         if c in canon:
             raise ValueError(f"offsets collide on the torus at {c}")
         canon[c] = v
-    cells = grid.cells()
-    bot = q.bot
     w, h = grid.width, grid.height
+    # row x is the row A(y) of x = (0, 0) rotated by x along both axes
+    base = [[canon.get((yx, yy), q.bot) for yx in range(w)] for yy in range(h)]
+    turned = [[r[w - xx :] + r[: w - xx] for r in base] for xx in range(w)]
     rows = tuple(
-        tuple(
-            canon.get(((yx - xx) % w, (yy - xy) % h), bot)
-            for (yx, yy) in cells
-        )
-        for (xx, xy) in cells
+        tuple(chain.from_iterable(t[h - xy :] + t[: h - xy]))
+        for xy in range(h)
+        for t in turned
     )
+    cells = grid.cells()
     return Kernel(q, cells, cells, rows)
 
 

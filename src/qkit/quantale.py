@@ -322,7 +322,8 @@ class PowersetMonoidQuantale(Carrier):
         return 1 << self.monoid.unit
 
     def contains(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x <= self.top
+        # exact type, as on the chains: True is no bitmask
+        return type(x) is int and 0 <= x <= self.top
 
     def leq(self, x: int, y: int) -> bool:
         return x & ~y == 0

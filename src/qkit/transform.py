@@ -476,7 +476,12 @@ def random_strong_kernel(
 
 def save_kernel(p: Kernel, path) -> None:
     """Text form: `carrier=<kind> d=<denominator> tnorm=<t-norm>
-    rows=|X| cols=|Y|`, then one row of entries per line."""
+    rows=|X| cols=|Y|`, then one row of entries per line.
+
+    Integer labels other than 0..rows-1 and 0..cols-1, and an explicit
+    embedding, follow in the header as comma-separated `xlabels=`,
+    `ylabels=` and `embedding=` fields; other labels are refused.
+    """
     if isinstance(p.carrier, ChainQuantale):
         kind, d = "chain", p.carrier.d
         fmt: Callable = str
@@ -485,10 +490,20 @@ def save_kernel(p: Kernel, path) -> None:
         fmt = lambda v: repr(float(v))  # noqa: E731
     else:
         raise ValueError("only chain and float kernels serialize to text")
-    lines = [
+    head = (
         f"carrier={kind} d={d} tnorm={p.carrier.tnorm} "
         f"rows={len(p.x_index)} cols={len(p.y_index)}"
-    ]
+    )
+    for key, labels, default in (
+        ("xlabels", p.x_index, tuple(range(len(p.x_index)))),
+        ("ylabels", p.y_index, tuple(range(len(p.y_index)))),
+        ("embedding", p.embedding, None),
+    ):
+        if labels is not None and any(type(v) is not int for v in labels):
+            raise ValueError(f"{key} must be integers to serialize")
+        if labels != default:
+            head += f" {key}=" + ",".join(map(str, labels))
+    lines = [head]
     for row in p.rows:
         lines.append(" ".join(fmt(v) for v in row))
     with open(path, "w", encoding="ascii") as fh:
@@ -518,4 +533,15 @@ def load_kernel(path, carrier: Carrier | None = None) -> Kernel:
     for row in rows:
         if len(row) != cols_n:
             raise ValueError("ragged kernel row")
-    return Kernel(carrier, tuple(range(rows_n)), tuple(range(cols_n)), rows)
+
+    def labels(key, default):
+        text = head.get(key)
+        return default if text is None else tuple(int(t) for t in text.split(",") if t)
+
+    return Kernel(
+        carrier,
+        labels("xlabels", tuple(range(rows_n))),
+        labels("ylabels", tuple(range(cols_n))),
+        rows,
+        labels("embedding", None),
+    )

@@ -291,6 +291,31 @@ def test_morph_identity_and_bounds(tmp_path, capsys):
     assert all(a <= b <= c for a, b, c in zip(low, img.pixels, high))
 
 
+def test_check_adjunction_reuses_the_result(tmp_path, monkeypatch, capsys):
+    import qkit.cli as cli
+
+    calls = {"open": 0, "close": 0}
+
+    def counted(name, op):
+        def wrapper(image, se):
+            calls[name] += 1
+            return op(image, se)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "opening_grey", counted("open", cli.opening_grey))
+    monkeypatch.setattr(cli, "closing_grey", counted("close", cli.closing_grey))
+    ipath, se, out = tmp_path / "i.pgm", tmp_path / "se.txt", tmp_path / "o.pgm"
+    write_pgm(ipath, PgmImage(4, 3, 4, (0, 1, 2, 3, 4, 3, 2, 1, 0, 0, 4, 4)))
+    se.write_text("2 1 0 0\n1 1/2\n")
+    for op in ("open", "close", "dilate"):
+        calls.update(open=0, close=0)
+        args = ["morph", op, str(ipath), str(se), str(out), "--check-adjunction"]
+        assert main(args) == 0
+        assert calls == {"open": 1, "close": 1}
+    assert capsys.readouterr().out.count("adjunction: pass") == 3
+
+
 def test_morph_binary_matches_set_form(tmp_path):
     from qkit.morphology import Grid, dilate_binary
 

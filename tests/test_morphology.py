@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkit.morphology import (
     BOUNDED,
@@ -39,9 +40,51 @@ from qkit.quantale import (
     FloatUnitQuantale,
     GODEL,
     LUKASIEWICZ,
+    PRODUCT,
 )
 from qkit.qmodule import FreeModule, ModuleVector, Nucleus, nucleus_check
 from qkit.transform import apply_direct, apply_inverse
+
+
+def ref_translate_image(image, offset):
+    """The per-cell translate: the reference for the row-shift form."""
+    grid, q = image.grid, image.carrier
+    neg = (-offset[0], -offset[1])
+    vals = []
+    for c in grid.cells():
+        src = grid.shift(c, neg)
+        vals.append(q.bot if src is None else image.at(src))
+    return GreyImage(grid, q, tuple(vals))
+
+
+def ref_dilate_grey(image, se):
+    """The per-cell dilation: the reference for the row-shift form."""
+    grid, q = image.grid, image.carrier
+    out = []
+    for c in grid.cells():
+        acc = q.bot
+        for off, w in se.entries:
+            src = grid.shift(c, (-off[0], -off[1]))
+            if src is None:
+                continue
+            acc = q.join2(acc, q.mul(w, image.at(src)))
+        out.append(acc)
+    return GreyImage(grid, q, tuple(out))
+
+
+def ref_erode_grey(image, se):
+    """The per-cell erosion: the reference for the row-shift form."""
+    grid, q = image.grid, image.carrier
+    out = []
+    for c in grid.cells():
+        acc = q.top
+        for off, w in se.entries:
+            tgt = grid.shift(c, off)
+            if tgt is None:
+                continue
+            acc = q.meet2(acc, q.lres(w, image.at(tgt)))
+        out.append(acc)
+    return GreyImage(grid, q, tuple(out))
 
 
 def line(*xs):
@@ -412,3 +455,56 @@ def test_grey_image_validation():
         GreyImage(Grid(2, 1), q, (0, 9))
     img = GreyImage.from_rows(Grid(2, 2), q, ((0, 1), (2, 3)))
     assert img.values == (0, 1, 2, 3)
+
+
+DIFFERENTIAL_CARRIERS = (
+    ChainQuantale(6, LUKASIEWICZ),
+    ChainQuantale(6, GODEL),
+    FloatUnitQuantale(LUKASIEWICZ),
+    FloatUnitQuantale(PRODUCT),
+)
+
+
+@st.composite
+def grey_cases(draw):
+    """An image and an element on one carrier, with sides down to 1 and
+    offsets up to twice a side, so that wrap reads go round more than
+    once and bounded reads can miss the grid entirely."""
+    q = draw(st.sampled_from(DIFFERENTIAL_CARRIERS))
+    if isinstance(q, ChainQuantale):
+        value = st.integers(0, q.d)
+    else:
+        # ints 0 and 1 are float-carrier values too, equal to 0.0 and 1.0
+        value = st.one_of(st.sampled_from((0, 1, 0.0, 1.0)), st.floats(0.0, 1.0))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = Grid(w, h, mode=draw(st.sampled_from((WRAP, BOUNDED))))
+    image = GreyImage(grid, q, draw(st.lists(value, min_size=w * h, max_size=w * h)))
+    offset = st.tuples(st.integers(-2 * w, 2 * w), st.integers(-2 * h, 2 * h))
+    weights = draw(st.dictionaries(offset, value, min_size=1, max_size=6))
+    weights[draw(offset)] = q.unit
+    return image, StructuringElement.from_dict(q, weights), draw(offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grey_cases())
+def test_row_shift_forms_match_per_cell_reference(case):
+    image, se, offset = case
+    assert dilate_grey(image, se).values == ref_dilate_grey(image, se).values
+    assert erode_grey(image, se).values == ref_erode_grey(image, se).values
+    moved = translate_image(image, offset)
+    assert moved.values == ref_translate_image(image, offset).values
+
+
+def test_row_shift_forms_match_on_lines_and_points():
+    q = ChainQuantale(4, LUKASIEWICZ)
+    rng = random.Random(12)
+    for (w, h), mode in itertools.product(((1, 1), (1, 5), (5, 1)), (WRAP, BOUNDED)):
+        g = Grid(w, h, mode=mode)
+        for _ in range(20):
+            se = random_se(q, rng, span=6)
+            img = random_image(g, q, rng)
+            assert dilate_grey(img, se).values == ref_dilate_grey(img, se).values
+            assert erode_grey(img, se).values == ref_erode_grey(img, se).values
+            for off in ((7, 0), (0, -6), (-w, h)):
+                moved = translate_image(img, off).values
+                assert moved == ref_translate_image(img, off).values

@@ -123,6 +123,10 @@ def test_carrier_mismatch_rejected():
         with pytest.raises(CarrierMismatchError):
             q.join([True])
     assert CHAIN4_LUK.contains(1) and FloatUnitQuantale().contains(1)
+    assert Z2.contains(1) and Z2.contains(3)
+    assert not Z2.contains(True) and not Z2.contains(False)
+    with pytest.raises(CarrierMismatchError):
+        Z2.join([True])
     with pytest.raises(NotFiniteError):
         residual_by_search(FloatUnitQuantale(), 0.5, 0.25)
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qkit.fuzzy import GridAlignmentWarning, luk_kernel
 from qkit.quantale import (
     GODEL,
     PRODUCT,
@@ -399,3 +400,22 @@ def test_kernel_serialization_roundtrip(tmp_path):
     # files without a t-norm field load as Lukasiewicz
     path.write_text("carrier=chain d=4 rows=1 cols=2\n4 0\n")
     assert load_kernel(path).carrier == Q4
+    # Y labels and an explicit embedding survive, so the coder grade does
+    aligned = luk_kernel(3, 5, Q4)
+    with pytest.warns(GridAlignmentWarning):
+        misaligned = luk_kernel(3, 6, ChainQuantale(5))
+    for p, extra in (
+        (aligned, " ylabels=0,2,4"),
+        (misaligned, " ylabels=0,3,5 embedding=0,3,5"),
+        (Kernel(Q4, (3, -1), (7,), ((4,), (2,)), (3,)), " xlabels=3,-1 ylabels=7 embedding=3"),
+    ):
+        save_kernel(p, path)
+        assert path.read_text().splitlines()[0].endswith(extra)
+        back = load_kernel(path)
+        assert back == p
+        assert classify_coder(back) == classify_coder(p)
+    assert classify_coder(aligned).is_orthonormal
+    # labels that are no integers are refused, not dropped
+    for x, y in (((0, 1), ("a", "b")), (((0, 0), (1, 0)), (0, 1)), ((True, 1), (0, 1))):
+        with pytest.raises(ValueError, match="integers"):
+            save_kernel(Kernel(Q4, x, y, ((4, 0), (0, 4))), path)
