@@ -10,10 +10,20 @@ recompressing a reconstruction reproduces the coefficients bit for
 bit, which is what the round-trip tests pin down.  Both methods, the
 triangular basis and a partition file, only choose the kernel per axis;
 the separable transform itself is one code path.
+
+On a chain whose denominator d satisfies 511 d <= 2**63 - 1, and when
+numpy imports, that path runs on whole int64 arrays: pixel scaling,
+both transform stages and the rounding back to pixels, with every
+intermediate at most 511 d (see `_INT64_D_MAX`).  Otherwise (the float
+carrier, d past that bound, or no numpy) it applies `apply_direct`
+and `apply_inverse` to one `ModuleVector` per row and per column,
+which is also the reference the array path is tested against.  Both
+give the same bytes.  numpy is imported by the codec only.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import random
@@ -47,7 +57,7 @@ from qkit.quantale import (
     PRODUCT,
 )
 from qkit.suites import SUITES, run_suites
-from qkit.transform import apply_direct, apply_inverse
+from qkit.transform import _array_direct, _array_inverse, apply_direct, apply_inverse
 
 COEFF_MAGIC = "qkit-coefficients v1"
 
@@ -95,9 +105,43 @@ def _pixel_from_value(carrier: Carrier, v, maxval: int) -> int:
 
 # ---------------------------------------------------------------- compress
 
-def _separable_direct(kern_w, kern_h, levels):
-    """Rows then columns; returns the coefficient matrix as row tuples."""
+# On a chain of denominator d every value the codec handles is a level
+# in [0, d].  A pixel p <= maxval scales to p * (d / maxval) <= d, a
+# Lukasiewicz product x + v - d and a residual d - v + z stay within
+# [-d, 2d], and rounding a level v back to a pixel takes
+# 2 v maxval + d <= 2 d 255 + d = 511 d, the largest of them.  So for
+# maxval <= 255 every intermediate fits int64 iff 511 d <= 2**63 - 1.
+_INT64_D_MAX = (2**63 - 1) // 511
+
+
+def _int64_numpy(carrier: Carrier, maxval: int):
+    """numpy, when the codec over this carrier may run on int64 arrays;
+    otherwise None, and the codec runs one ModuleVector at a time."""
+    if not (
+        isinstance(carrier, ChainQuantale)
+        and carrier.d <= _INT64_D_MAX
+        and 1 <= maxval <= 255
+    ):
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
+def _separable_direct(kern_w, kern_h, pixels, maxval: int) -> tuple:
+    """Pixels to levels, then rows then columns; returns the coefficient
+    matrix as row tuples."""
     q, width = kern_w.carrier, len(kern_w.x_index)
+    np = _int64_numpy(q, maxval)
+    if np is not None:
+        s = _pixel_scale(q, maxval)
+        levels = np.array(pixels, dtype=np.int64).reshape(-1, width)
+        levels *= s
+        rows = _array_direct(kern_w, levels)
+        return tuple(map(tuple, _array_direct(kern_h, rows.T).T.tolist()))
+    levels = _levels_from_pixels(q, pixels, maxval)
     row_stage = [
         apply_direct(kern_w, ModuleVector(q, kern_w.x_index, levels[i : i + width])).values
         for i in range(0, len(levels), width)
@@ -109,18 +153,36 @@ def _separable_direct(kern_w, kern_h, levels):
     return tuple(zip(*cols))
 
 
-def _separable_inverse(kern_w, kern_h, coeffs):
-    """Inverts the column stage, then the row stage."""
+def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
+    """Inverts the column stage, then the row stage, and rounds levels to
+    pixels; returns the pixels and whether some level fell between two
+    pixel values."""
     q = kern_w.carrier
+    np = _int64_numpy(q, maxval)
+    if np is not None:
+        # the file's values must be levels before int64 can hold them;
+        # column by column, so the first offender is the one reported
+        q.require(*itertools.chain.from_iterable(zip(*coeffs)))
+        cols = _array_inverse(kern_h, np.array(coeffs, dtype=np.int64).T)
+        levels = _array_inverse(kern_w, cols.T)
+        # in place, so that no further image-sized array is allocated
+        pixels = levels * (2 * maxval)
+        pixels += q.d
+        pixels //= 2 * q.d
+        levels *= maxval
+        levels %= q.d
+        return pixels.ravel().tolist(), bool(levels.any())
     cols = [
         apply_inverse(kern_h, ModuleVector(q, kern_h.y_index, col)).values
         for col in zip(*coeffs)
     ]
-    return tuple(
+    levels = tuple(
         v
         for row in zip(*cols)
         for v in apply_inverse(kern_w, ModuleVector(q, kern_w.y_index, row)).values
     )
+    off_grid = isinstance(q, ChainQuantale) and any(v * maxval % q.d for v in levels)
+    return [_pixel_from_value(q, v, maxval) for v in levels], off_grid
 
 
 def _axis_kernels(method, carrier, width, height, n, partition):
@@ -136,10 +198,11 @@ def _axis_kernels(method, carrier, width, height, n, partition):
         return part.kernel(), part.kernel()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GridAlignmentWarning)
-        kernels = luk_kernel(n, width, carrier), luk_kernel(n, height, carrier)
+        kern_w = luk_kernel(n, width, carrier)
+        kern_h = kern_w if height == width else luk_kernel(n, height, carrier)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    return kernels
+    return kern_w, kern_h
 
 
 def _format_level(carrier: Carrier, v) -> str:
@@ -229,8 +292,7 @@ def cmd_compress(args) -> int:
     kern_w, kern_h = _axis_kernels(
         args.method, carrier, img.width, img.height, args.n, args.partition
     )
-    levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
-    matrix = _separable_direct(kern_w, kern_h, levels)
+    matrix = _separable_direct(kern_w, kern_h, img.pixels, img.maxval)
     meta = {
         "method": args.method,
         "carrier": "float" if isinstance(carrier, FloatUnitQuantale) else "chain",
@@ -253,11 +315,8 @@ def cmd_reconstruct(args) -> int:
     kern_w, kern_h = _axis_kernels(meta["method"], carrier, width, height, n, args.partition)
     if len(kern_w.y_index) != n:
         raise ValueError("partition does not match the coefficients header")
-    levels = _separable_inverse(kern_w, kern_h, matrix)
-    pixels = tuple(_pixel_from_value(carrier, v, maxval) for v in levels)
-    if isinstance(carrier, ChainQuantale) and any(
-        v * maxval % carrier.d for v in levels
-    ):
+    pixels, off_grid = _separable_inverse(kern_w, kern_h, matrix, maxval)
+    if off_grid:
         print(
             "warning: some reconstructed levels fall between pixel values; "
             "the written image is quantized, so compressing it again may "

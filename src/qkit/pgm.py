@@ -24,15 +24,15 @@ class PgmImage:
             raise ValueError("image sides must be positive")
         if not 1 <= self.maxval <= 255:
             raise ValueError(f"maxval {self.maxval} outside 1..255")
-        px = tuple(int(v) for v in self.pixels)
+        px = tuple(map(int, self.pixels))
         object.__setattr__(self, "pixels", px)
         if len(px) != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {len(px)}"
             )
-        for v in px:
-            if not 0 <= v <= self.maxval:
-                raise ValueError(f"pixel {v} outside 0..{self.maxval}")
+        if min(px) < 0 or max(px) > self.maxval:
+            bad = next(v for v in px if not 0 <= v <= self.maxval)
+            raise ValueError(f"pixel {bad} outside 0..{self.maxval}")
 
     def at(self, x: int, y: int) -> int:
         return self.pixels[y * self.width + x]
@@ -73,14 +73,16 @@ def read_pgm(path) -> PgmImage:
     (w, _), (h, _), (maxval, end) = next(tokens), next(tokens), next(tokens)
     w, h, maxval = int(w), int(h), int(maxval)
     if magic == "P2":
-        body = data[end:].split()
-        pixels = tuple(int(t) for t in body)
+        # line by line, so that no list of every raster token is built
+        pixels = []
+        for line in data[end:].splitlines():
+            pixels.extend(map(int, line.split()))
     else:
         # single whitespace byte separates header from raster
         raster = data[end + 1 :]
         if len(raster) < w * h:
             raise ValueError("truncated raster")
-        pixels = tuple(raster[: w * h])
+        pixels = raster[: w * h]
     return PgmImage(w, h, maxval, pixels)
 
 
@@ -93,7 +95,7 @@ def write_pgm(path, image: PgmImage, binary: bool = False) -> None:
         return
     lines = [f"P2\n{header}"]
     for row in image.rows():
-        lines.append(" ".join(str(v) for v in row) + "\n")
+        lines.append(" ".join(map(str, row)) + "\n")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("".join(lines))
 

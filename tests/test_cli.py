@@ -1,17 +1,35 @@
+import importlib.util
 import os
+import random
+import subprocess
+import sys
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkit.cli import (
     build_parser,
     main,
     parse_carrier,
     read_coefficients,
+    _INT64_D_MAX,
+    _int64_numpy,
     _pixel_from_value,
     _seed_from,
+    _separable_direct,
+    _separable_inverse,
 )
-from qkit.fuzzy import luk_partition, save_partition
+from qkit.fuzzy import (
+    FuzzyPartition,
+    GridAlignmentWarning,
+    luk_kernel,
+    luk_partition,
+    save_partition,
+)
 from qkit.pgm import PgmImage, ramp_image, read_pgm, write_pgm
 from qkit.quantale import ChainQuantale, FloatUnitQuantale, GODEL, LUKASIEWICZ
 
@@ -196,13 +214,45 @@ def test_compress_rejects_bad_inputs(ramp55, tmp_path):
     )
 
 
-def test_corrupt_coefficients_rejected(tmp_path):
+def test_corrupt_coefficients_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.coef"
     bad.write_text("hello\n")
     assert main(["reconstruct", str(bad), str(tmp_path / "x.pgm")]) == 2
     missing = tmp_path / "missing.coef"
     missing.write_text("qkit-coefficients v1\nmethod=luk\n0 0\n")
     assert main(["reconstruct", str(missing), str(tmp_path / "x.pgm")]) == 2
+    # values are checked as levels before any int64 array holds them
+    base = dict(
+        method="luk", carrier="chain", tnorm="lukasiewicz", denominator=8,
+        n=3, width=5, height=5, maxval=8, rows=3, cols=3,
+    )
+
+    def reconstruct_error(body, **change):
+        head = "".join(f"{k}={v}\n" for k, v in {**base, **change}.items())
+        bad.write_text("qkit-coefficients v1\n" + head + body)
+        capsys.readouterr()
+        assert main(["reconstruct", str(bad), str(tmp_path / "x.pgm")]) == 2
+        return capsys.readouterr().err
+
+    for body, offender in (
+        ("0 0 0\n0 9 0\n0 0 0\n", 9),
+        ("0 0 0\n0 -1 0\n0 0 0\n", -1),
+        (f"0 0 0\n0 {10**30} 0\n0 0 0\n", 10**30),
+        # column by column, as one vector per column reports it
+        ("0 0 9\n0 0 0\n10 0 0\n", 10),
+    ):
+        assert reconstruct_error(body) == (
+            f"error: {offender} is not an element of "
+            "ChainQuantale(d=8, tnorm='lukasiewicz')\n"
+        )
+    # a maxval no PGM can have, on a chain near the int64 bound: the
+    # rounding would overflow int64, so no stray off-grid warning comes
+    # before the error
+    d = _INT64_D_MAX
+    assert reconstruct_error(
+        f"{d} {d}\n{d} {d}\n",
+        denominator=d, n=2, width=2, height=2, maxval=1000, rows=2, cols=2,
+    ) == "error: maxval 1000 outside 1..255\n"
 
 
 def test_coefficient_header_checked_before_kernels(tmp_path, capsys):
@@ -405,3 +455,195 @@ def test_pixel_rounding_halves_up():
     f = FloatUnitQuantale(LUKASIEWICZ)
     assert _pixel_from_value(f, 1.0, 255) == 255
     assert _pixel_from_value(f, 0.5, 4) == 2
+
+
+# ------------------------------------------- int64 arrays vs one vector at a time
+
+ROOT = Path(__file__).resolve().parent.parent
+D_EDGE = _INT64_D_MAX  # 511 * D_EDGE == 2**63 - 1, the int64 maximum
+# numpy is an optional extra; without it only the per-vector path exists
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy is not installed"
+)
+
+
+@contextmanager
+def numpy_blocked():
+    """Inside, importing numpy fails as it does where numpy is missing."""
+    saved = sys.modules.get("numpy")
+    sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        if saved is None:
+            del sys.modules["numpy"]
+        else:
+            sys.modules["numpy"] = saved
+
+
+def check_paths_agree(kern_w, kern_h, pixels, maxval, coeffs, inv_maxval):
+    """The array path and the per-vector path give equal Python ints."""
+    q = kern_w.carrier
+    assert _int64_numpy(q, maxval) is not None
+    assert _int64_numpy(q, inv_maxval) is not None
+    got = _separable_direct(kern_w, kern_h, pixels, maxval)
+    got_inv = _separable_inverse(kern_w, kern_h, coeffs, inv_maxval)
+    with numpy_blocked():
+        assert _int64_numpy(q, maxval) is None
+        ref = _separable_direct(kern_w, kern_h, pixels, maxval)
+        ref_inv = _separable_inverse(kern_w, kern_h, coeffs, inv_maxval)
+    assert got == ref
+    assert all(type(v) is int for row in got for v in row)
+    assert got_inv == ref_inv
+    assert all(type(v) is int for v in got_inv[0]) and type(got_inv[1]) is bool
+
+
+def pixel_maxvals(d):
+    """The maxvals whose pixels are levels of a chain of denominator d."""
+    return [m for m in range(1, 256) if d % m == 0]
+
+
+@st.composite
+def axis_kernels(draw, q, nodes):
+    """A triangular kernel over the nodes, aligned or not, when its values
+    are levels of q; otherwise, or by choice, a random partition's kernel."""
+    if nodes >= 2 and q.d % (nodes - 1) == 0 and draw(st.booleans()):
+        n = draw(st.integers(2, nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridAlignmentWarning)
+            return luk_kernel(n, nodes, q)
+    n = draw(st.integers(1, 4))
+    level = st.one_of(st.sampled_from((0, 1, q.d - 1, q.d)), st.integers(0, q.d))
+    table = [[draw(level) for _ in range(nodes)] for _ in range(n)]
+    for j in range(nodes):  # covering: some basis function sees node j
+        if not any(row[j] for row in table):
+            table[j % n][j] = q.d
+    for k, row in enumerate(table):  # density: basis function k sees a node
+        if not any(row):
+            row[k % nodes] = q.d
+    return FuzzyPartition(q, table).kernel()
+
+
+@st.composite
+def codec_cases(draw):
+    d = draw(st.sampled_from((8, 60, D_EDGE - 1, D_EDGE)))
+    q = ChainQuantale(d, draw(st.sampled_from((LUKASIEWICZ, GODEL))))
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kern_w, kern_h = draw(axis_kernels(q, width)), draw(axis_kernels(q, height))
+    maxval = draw(st.sampled_from(pixel_maxvals(d)))
+    pixels = draw(st.lists(st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    level = st.one_of(st.sampled_from((0, d)), st.integers(0, d))
+    coeffs = tuple(
+        tuple(draw(level) for _ in kern_w.y_index) for _ in kern_h.y_index
+    )
+    inv_maxval = draw(st.one_of(st.sampled_from((1, 255)), st.integers(1, 255)))
+    return kern_w, kern_h, pixels, maxval, coeffs, inv_maxval
+
+
+@needs_numpy
+@settings(max_examples=150, deadline=None)
+@given(codec_cases())
+def test_int64_path_matches_vector_path(case):
+    check_paths_agree(*case)
+
+
+@needs_numpy
+def test_int64_path_edges():
+    """1x1, 1xn and nx1 images, and d just below the int64 bound and at it,
+    where rounding a top level to maxval 255 reaches exactly 2**63 - 1."""
+    rng = random.Random(5)
+    for d in (D_EDGE - 1, D_EDGE):
+        for tnorm in (LUKASIEWICZ, GODEL):
+            q = ChainQuantale(d, tnorm)
+            one = FuzzyPartition(q, ((d,),)).kernel()
+            tri = luk_kernel(2, 8, q) if d == D_EDGE else luk_kernel(3, 5, q)
+            for kern_w, kern_h in ((one, one), (one, tri), (tri, one), (tri, tri)):
+                w, h = len(kern_w.x_index), len(kern_h.x_index)
+                for maxval in pixel_maxvals(d)[-2:]:
+                    pixels = [rng.choice((0, maxval, rng.randrange(maxval + 1))) for _ in range(w * h)]
+                    for fill in (0, d, None):
+                        coeffs = tuple(
+                            tuple(rng.randrange(d + 1) if fill is None else fill for _ in kern_w.y_index)
+                            for _ in kern_h.y_index
+                        )
+                        check_paths_agree(kern_w, kern_h, pixels, maxval, coeffs, 255)
+    # past the bound, or off the chains, the codec runs one vector at a time
+    assert _int64_numpy(ChainQuantale(D_EDGE + 1), 255) is None
+    assert _int64_numpy(ChainQuantale(D_EDGE), 255) is not None
+    assert _int64_numpy(FloatUnitQuantale(LUKASIEWICZ), 255) is None
+    assert 511 * D_EDGE == 2**63 - 1
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@needs_numpy
+def test_numpy_only_imported_by_the_codec(tmp_path):
+    """numpy costs start-up time and memory, so only the codec loads it."""
+    write_pgm(tmp_path / "img.pgm", ramp_image(9, 9, 8))
+    (tmp_path / "se.txt").write_text("3 1 1 0\n1/2 1 1/2\n")
+    out = run_python(
+        """
+import sys
+from qkit.cli import main
+img, se, out = sys.argv[1:]
+assert "numpy" not in sys.modules, "import qkit.cli"
+assert main(["morph", "open", img, se, out]) == 0
+assert "numpy" not in sys.modules, "qkit morph"
+for suite in ("quantale", "transform", "morphology"):
+    assert main(["laws", suite]) == 0
+assert "numpy" not in sys.modules, "qkit laws"
+assert main(["compress", img, out, "--n", "3"]) == 0
+print("compress loaded numpy:", "numpy" in sys.modules)
+""",
+        tmp_path / "img.pgm",
+        tmp_path / "se.txt",
+        tmp_path / "out",
+    )
+    assert out.endswith("compress loaded numpy: True\n")
+
+
+@needs_numpy
+def test_codec_bytes_without_numpy(tmp_path):
+    src = tmp_path / "img.pgm"
+    write_pgm(src, PgmImage(9, 9, 8, tuple(random.Random(3).randrange(9) for _ in range(81))))
+    part = tmp_path / "part.txt"
+    save_partition(part, luk_partition(3, 9, ChainQuantale(8, LUKASIEWICZ)))
+    script = """
+import sys
+block, src, part, out = sys.argv[1:]
+if block == "block":
+    sys.modules["numpy"] = None
+from qkit.cli import main
+for name, args, again in (
+    ("aligned", ["--n", "5"], []),
+    ("misaligned", ["--n", "4"], []),
+    ("godel", ["--n", "3", "--tnorm", "godel"], []),
+    ("partition", ["--method", "partition-file", "--partition", part], ["--partition", part]),
+    ("float", ["--n", "5", "--carrier", "float"], []),
+):
+    coef, back = f"{out}/{name}.coef", f"{out}/{name}.pgm"
+    assert main(["compress", src, coef, *args]) == 0
+    assert main(["reconstruct", coef, back, *again]) == 0
+print(sys.modules.get("numpy") is not None)
+"""
+    outputs = {}
+    for mode in ("numpy", "block"):
+        (tmp_path / mode).mkdir()
+        loaded = run_python(script, mode, src, part, tmp_path / mode)
+        assert loaded == ("True\n" if mode == "numpy" else "False\n")
+        outputs[mode] = {
+            f.name: f.read_bytes() for f in sorted((tmp_path / mode).iterdir())
+        }
+    assert len(outputs["numpy"]) == 10
+    assert outputs["numpy"] == outputs["block"]

@@ -12,6 +12,9 @@ def test_image_validation():
         PgmImage(2, 1, 4, (0, 5))
     with pytest.raises(ValueError):
         PgmImage(2, 2, 4, (0, 1, 2))
+    # the first offender is named, not the smallest or the largest
+    with pytest.raises(ValueError, match=r"^pixel 7 outside 0\.\.4$"):
+        PgmImage(4, 1, 4, (0, 7, -1, 9))
     img = PgmImage(2, 2, 4, (0, 1, 2, 3))
     assert img.at(1, 1) == 3
     assert img.rows() == ((0, 1), (2, 3))
@@ -40,6 +43,9 @@ def test_reader_accepts_comments_and_whitespace(tmp_path):
     img = read_pgm(path)
     assert (img.width, img.height, img.maxval) == (3, 1, 5)
     assert img.pixels == (0, 2, 5)
+    # any whitespace separates raster tokens, line breaks included
+    path.write_bytes(b"P2\n3 2\n9\n0 3\r\n9\t1\x0b2\x0c\r4\n")
+    assert read_pgm(path).pixels == (0, 3, 9, 1, 2, 4)
 
 
 def test_reader_errors(tmp_path):
