@@ -55,6 +55,7 @@ from qkit.quantale import (
     GODEL,
     LUKASIEWICZ,
     PRODUCT,
+    carrier_from,
 )
 from qkit.suites import SUITES, run_suites
 from qkit.transform import _array_direct, _array_inverse, apply_direct, apply_inverse
@@ -205,20 +206,12 @@ def _axis_kernels(method, carrier, width, height, n, partition):
     return kern_w, kern_h
 
 
-def _format_level(carrier: Carrier, v) -> str:
-    return repr(v) if isinstance(carrier, FloatUnitQuantale) else str(v)
-
-
-def _parse_level(carrier: Carrier, token: str):
-    return float(token) if isinstance(carrier, FloatUnitQuantale) else int(token)
-
-
 def write_coefficients(path, meta: dict, matrix, carrier: Carrier) -> None:
     lines = [COEFF_MAGIC]
     for key, value in meta.items():
         lines.append(f"{key}={value}")
     for row in matrix:
-        lines.append(" ".join(_format_level(carrier, v) for v in row))
+        lines.append(" ".join(map(carrier.format, row)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -228,27 +221,15 @@ def read_coefficients(path):
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0] != COEFF_MAGIC:
         raise ValueError("not a coefficients file")
-    meta = {}
-    body_at = 1
-    for i, ln in enumerate(lines[1:], start=1):
-        if "=" not in ln:
-            body_at = i
-            break
-        key, value = ln.split("=", 1)
-        meta[key] = value
-        body_at = i + 1
+    body_at = next((i for i, ln in enumerate(lines) if i and "=" not in ln), len(lines))
+    meta = dict(ln.split("=", 1) for ln in lines[1:body_at])
     required = ("method", "carrier", "tnorm", "n", "width", "height", "maxval", "rows", "cols")
     missing = [k for k in required if k not in meta]
     if missing:
         raise ValueError(f"coefficients file lacks keys: {', '.join(missing)}")
-    if meta["carrier"] == "chain":
-        if "denominator" not in meta:
-            raise ValueError("chain coefficients need a denominator key")
-        carrier = ChainQuantale(int(meta["denominator"]), meta["tnorm"])
-    elif meta["carrier"] == "float":
-        carrier = FloatUnitQuantale(meta["tnorm"])
-    else:
-        raise ValueError(f"unknown carrier {meta['carrier']!r}")
+    if meta["carrier"] == "chain" and "denominator" not in meta:
+        raise ValueError("chain coefficients need a denominator key")
+    carrier = carrier_from(meta["carrier"], int(meta.get("denominator", 0)), meta["tnorm"])
     # the header must fit before any kernel is sized from it
     n, rows, cols = int(meta["n"]), int(meta["rows"]), int(meta["cols"])
     width, height = int(meta["width"]), int(meta["height"])
@@ -263,13 +244,10 @@ def read_coefficients(path):
     body = lines[body_at:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} coefficient rows, found {len(body)}")
-    matrix = []
-    for ln in body:
-        row = tuple(_parse_level(carrier, t) for t in ln.split())
-        if len(row) != cols:
-            raise ValueError(f"expected {cols} coefficients per row")
-        matrix.append(row)
-    return meta, carrier, tuple(matrix)
+    matrix = tuple(tuple(map(carrier.parse, ln.split())) for ln in body)
+    if any(len(row) != cols for row in matrix):
+        raise ValueError(f"expected {cols} coefficients per row")
+    return meta, carrier, matrix
 
 
 def _carrier(args, d: int) -> Carrier:
@@ -295,9 +273,9 @@ def cmd_compress(args) -> int:
     matrix = _separable_direct(kern_w, kern_h, img.pixels, img.maxval)
     meta = {
         "method": args.method,
-        "carrier": "float" if isinstance(carrier, FloatUnitQuantale) else "chain",
+        "carrier": carrier.kind,
         "tnorm": carrier.tnorm,
-        "denominator": getattr(carrier, "d", 0),
+        "denominator": carrier.denominator,
         "n": len(matrix),
         "width": img.width,
         "height": img.height,

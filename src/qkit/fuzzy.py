@@ -16,6 +16,11 @@ The basis is sampled in integer arithmetic, p_k(j) = max(0, L -
 |N j - k L|) / L with L = l-1 and N = n-1, and scaled onto integer
 chain levels, so orthonormality and reconstruction checks are exact
 rather than tolerance-based.
+
+Partition files are tables in the carrier's text form (see
+`qkit.quantale`): values are written with the carrier's `format`, and
+read with its `parse`, except that a chain also takes decimal and n/m
+tokens through `parse_fraction` and `ratio`, exactly or not at all.
 """
 from __future__ import annotations
 
@@ -26,12 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from qkit.quantale import (
-    Carrier,
-    ChainQuantale,
-    FloatUnitQuantale,
-    LUKASIEWICZ,
-)
+from qkit.quantale import Carrier, ChainQuantale, LUKASIEWICZ, parse_fraction
 from qkit.qmodule import ModuleVector
 from qkit.transform import Kernel, apply_direct, apply_inverse
 
@@ -66,14 +66,6 @@ def luk_basis_eval(n: int, k: int, x) -> Fraction:
     return Fraction(0)
 
 
-def _chain_level(d: int, num: int, den: int) -> int:
-    """The level of num/den on a chain of denominator d, if it is one."""
-    if num * d % den:
-        g = math.gcd(num, den)
-        raise ValueError(f"value {num // g}/{den // g} is not a multiple of 1/{d}")
-    return num * d // den
-
-
 def _default_carrier(n: int, l: int) -> ChainQuantale:
     return ChainQuantale(math.lcm(l - 1, n - 1), LUKASIEWICZ)
 
@@ -82,10 +74,7 @@ def _basis_grid(n: int, l: int, carrier: Carrier) -> list[list]:
     # grid[k][j] = p_k at node j/L = max(0, L - |N j - k L|) / L
     L, N = l - 1, n - 1
     nums = [[max(0, L - abs(N * j - k * L)) for j in range(l)] for k in range(n)]
-    # chains store levels, the float carrier stores the raw value
-    if isinstance(carrier, ChainQuantale):
-        return [[_chain_level(carrier.d, v, L) for v in row] for row in nums]
-    return [[v / L for v in row] for row in nums]
+    return [[carrier.ratio(v, L) for v in row] for row in nums]
 
 
 def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
@@ -239,23 +228,18 @@ def save_partition(path, partition: FuzzyPartition) -> None:
     """Write `n l` then one line of node values per basis function."""
     lines = [f"{partition.n} {partition.l}"]
     for row in partition.table:
-        lines.append(" ".join(_format_value(v) for v in row))
+        lines.append(" ".join(map(partition.carrier.format, row)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def load_partition(path, carrier: Carrier) -> FuzzyPartition:
     """Read a partition table for the given carrier.
 
     Chain carriers accept integer levels directly; decimal or fraction
-    tokens are scaled by the denominator and must land on a level
-    exactly.  The float carrier parses every token as a float.
+    tokens, read by `parse_fraction`, are scaled by the denominator and
+    must land on a level exactly.  The float carrier parses every token
+    as a float.
     """
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
@@ -273,11 +257,7 @@ def load_partition(path, carrier: Carrier) -> FuzzyPartition:
 
 
 def _parse_value(carrier: Carrier, token: str):
-    if isinstance(carrier, FloatUnitQuantale):
-        return float(token)
-    if isinstance(carrier, ChainQuantale):
-        if "." in token or "/" in token:
-            v = Fraction(token)
-            return _chain_level(carrier.d, v.numerator, v.denominator)
-        return int(token)
-    raise ValueError(f"cannot parse values for carrier {carrier!r}")
+    if carrier.kind == "chain" and ("." in token or "/" in token):
+        v = parse_fraction(token)
+        return carrier.ratio(v.numerator, v.denominator)
+    return carrier.parse(token)

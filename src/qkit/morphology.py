@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -34,9 +33,9 @@ from typing import Iterable, Sequence
 from qkit.quantale import (
     Carrier,
     CarrierMismatchError,
-    ChainQuantale,
     FloatUnitQuantale,
     LUKASIEWICZ,
+    parse_fraction,
 )
 from qkit.transform import Kernel
 
@@ -396,19 +395,10 @@ def save_structuring(path, se: StructuringElement) -> None:
     w, h = max(xs) + ox + 1, max(ys) + oy + 1
     lines = [f"{w} {h} {ox} {oy}"]
     for y in range(h):
-        row = []
-        for x in range(w):
-            row.append(_format_weight(se, (x - ox, y - oy)))
-        lines.append(" ".join(row))
+        weights = (se.weight((x - ox, y - oy)) for x in range(w))
+        lines.append(" ".join(str(se.carrier.fraction(v)) for v in weights))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _format_weight(se: StructuringElement, offset) -> str:
-    v = se.weight(offset)
-    if isinstance(se.carrier, ChainQuantale):
-        return str(Fraction(v, se.carrier.d))
-    return repr(v)
 
 
 def _structuring_tokens(path) -> tuple:
@@ -429,7 +419,7 @@ def _structuring_tokens(path) -> tuple:
 def structuring_denominator(path) -> int:
     """The least chain denominator with every weight of the file a level."""
     _, _, _, body = _structuring_tokens(path)
-    return math.lcm(*(Fraction(tok).denominator for tok in body))
+    return math.lcm(*(parse_fraction(tok).denominator for tok in body))
 
 
 def load_structuring(path, carrier: Carrier | None = None) -> StructuringElement:
@@ -439,23 +429,14 @@ def load_structuring(path, carrier: Carrier | None = None) -> StructuringElement
     if carrier is None:
         carrier = FloatUnitQuantale(LUKASIEWICZ)
     w, ox, oy, body = _structuring_tokens(path)
-    entries = []
-    for i, tok in enumerate(body):
-        x, y = i % w, i // w
-        v = _parse_weight(carrier, tok)
-        entries.append(((x - ox, y - oy), v))
-    return StructuringElement(carrier, tuple(entries))
+    entries = tuple(
+        ((i % w - ox, i // w - oy), _parse_weight(carrier, tok)) for i, tok in enumerate(body)
+    )
+    return StructuringElement(carrier, entries)
 
 
 def _parse_weight(carrier: Carrier, token: str):
-    f = Fraction(token)
+    f = parse_fraction(token)
     if not 0 <= f <= 1:
         raise ValueError(f"weight {token} outside the unit interval")
-    if isinstance(carrier, ChainQuantale):
-        scaled = f * carrier.d
-        if scaled.denominator != 1:
-            raise ValueError(
-                f"weight {token} is not a multiple of 1/{carrier.d}"
-            )
-        return int(scaled)
-    return float(f)
+    return carrier.ratio(f.numerator, f.denominator, f"weight {token}")

@@ -60,7 +60,14 @@ def _header_tokens(data: bytes):
         start = i
         while i < n and not data[i : i + 1].isspace():
             i += 1
-        yield data[start:i].decode("ascii"), i
+        yield data[start:i].decode("ascii", "backslashreplace"), i
+
+
+def _integer(token: str, where: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{where} token '{token}' is not an integer") from None
 
 
 def read_pgm(path) -> PgmImage:
@@ -71,12 +78,16 @@ def read_pgm(path) -> PgmImage:
     if magic not in ("P2", "P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
     (w, _), (h, _), (maxval, end) = next(tokens), next(tokens), next(tokens)
-    w, h, maxval = int(w), int(h), int(maxval)
+    w, h, maxval = (_integer(t, "header") for t in (w, h, maxval))
     if magic == "P2":
         # line by line, so that no list of every raster token is built
         pixels = []
-        for line in data[end:].splitlines():
-            pixels.extend(map(int, line.split()))
+        try:
+            for line in data[end:].splitlines():
+                pixels.extend(map(int, line.split()))
+        except ValueError:
+            for tok in line.split():
+                _integer(tok.decode("ascii", "backslashreplace"), "raster")
     else:
         # single whitespace byte separates header from raster
         raster = data[end + 1 :]

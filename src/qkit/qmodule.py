@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from qkit.quantale import Carrier, CarrierMismatchError, LawReport, NotFiniteError
+from qkit.quantale import (
+    LUKASIEWICZ,
+    Carrier,
+    CarrierMismatchError,
+    LawReport,
+    NotFiniteError,
+    carrier_from,
+)
 
 
 @dataclass(frozen=True)
@@ -842,24 +849,15 @@ def nucleus_check(
 def save_vector(m: ModuleVector, path) -> None:
     """Text form: `<kind> <denominator> <size> <t-norm>` then one value
     per line."""
-    from qkit.quantale import ChainQuantale, FloatUnitQuantale
-
-    if isinstance(m.carrier, ChainQuantale):
-        head = f"chain {m.carrier.d} {len(m.values)} {m.carrier.tnorm}"
-        body = [str(v) for v in m.values]
-    elif isinstance(m.carrier, FloatUnitQuantale):
-        head = f"float 0 {len(m.values)} {m.carrier.tnorm}"
-        body = [repr(float(v)) for v in m.values]
-    else:
+    q = m.carrier
+    if q.kind is None:
         raise ValueError("only chain and float vectors serialize to text")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(head + "\n")
-        fh.write("\n".join(body) + "\n")
+        fh.write(f"{q.kind} {q.denominator} {len(m.values)} {q.tnorm}\n")
+        fh.write("\n".join(map(q.format, m.values)) + "\n")
 
 
 def load_vector(path, carrier: Carrier | None = None) -> ModuleVector:
-    from qkit.quantale import LUKASIEWICZ, ChainQuantale, FloatUnitQuantale
-
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) < 3:
@@ -871,12 +869,6 @@ def load_vector(path, carrier: Carrier | None = None) -> ModuleVector:
     tnorm = body.pop(0) if body and body[0].isalpha() else LUKASIEWICZ
     if len(body) != size:
         raise ValueError(f"expected {size} values, found {len(body)}")
-    if kind == "chain":
-        carrier = carrier or ChainQuantale(denom, tnorm)
-        values = tuple(int(v) for v in body)
-    elif kind == "float":
-        carrier = carrier or FloatUnitQuantale(tnorm)
-        values = tuple(float(v) for v in body)
-    else:
-        raise ValueError(f"unknown carrier kind {kind!r}")
-    return ModuleVector(carrier, tuple(range(size)), values)
+    spec = carrier_from(kind, denom, tnorm)
+    values = tuple(map(spec.parse, body))
+    return ModuleVector(carrier or spec, tuple(range(size)), values)

@@ -10,11 +10,18 @@ with Lukasiewicz or Godel product, the real unit interval with a
 left-continuous t-norm, and the powerset of a finite monoid under
 complex multiplication.  The first and last are exact; the float
 carrier checks laws up to a tolerance.
+
+Every file reader and writer goes through the text form of the chain
+and float carriers: `kind` and `denominator` name one in a header, and
+`carrier_from` builds it back; `parse`/`format` spell a value; `ratio`
+and `fraction` map exact unit-interval numbers, as `parse_fraction`
+reads them, to values and back.  The powerset carrier has no text form.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 LUKASIEWICZ = "lukasiewicz"
@@ -69,6 +76,13 @@ class Carrier:
     """Shared derived operations; concrete carriers fill in the primitives."""
 
     is_finite: bool = True
+    # the text form's name; None on carriers that have no text form
+    kind: str | None = None
+
+    def _no_text_form(self, *args):
+        raise ValueError(f"{self!r} has no text form")
+
+    parse = format = ratio = fraction = _no_text_form
 
     def require(self, *xs) -> None:
         for x in xs:
@@ -161,6 +175,24 @@ class ChainQuantale(Carrier):
     def size(self) -> int:
         return self.d + 1
 
+    # text form: levels are written as integers
+    kind = "chain"
+    parse = staticmethod(int)
+    format = staticmethod(str)
+
+    denominator = property(lambda self: self.d)
+
+    def ratio(self, num: int, den: int, label: str | None = None) -> int:
+        """The level num/den, refused (as `label`, if given) unless it is
+        a multiple of 1/d."""
+        if num * self.d % den:
+            label = label or f"value {Fraction(num, den)}"
+            raise ValueError(f"{label} is not a multiple of 1/{self.d}")
+        return num * self.d // den
+
+    def fraction(self, v: int) -> Fraction:
+        return Fraction(v, self.d)
+
 
 @dataclass(frozen=True)
 class FloatUnitQuantale(Carrier):
@@ -233,6 +265,46 @@ class FloatUnitQuantale(Carrier):
     def grid(self, steps: int = 20) -> tuple[float, ...]:
         """Evenly spaced sample including both endpoints."""
         return tuple(k / steps for k in range(steps + 1))
+
+    # text form: values are written as float reprs
+    kind = "float"
+    denominator = 0
+    parse = staticmethod(float)
+    format = staticmethod(lambda v: repr(float(v)))
+
+    def ratio(self, num: int, den: int, label: str | None = None) -> float:
+        return num / den
+
+    def fraction(self, v: float) -> float:
+        return v
+
+
+def carrier_from(kind: str, d: int, tnorm: str) -> Carrier:
+    """The carrier a file header names by kind, denominator and t-norm;
+    the float carrier ignores d."""
+    if kind == "chain":
+        return ChainQuantale(d, tnorm)
+    if kind == "float":
+        return FloatUnitQuantale(tnorm)
+    raise ValueError(f"unknown carrier kind {kind!r}")
+
+
+# Fraction builds 10**e for an exponent e, so a few bytes can cost
+# minutes; float reprs stay within -324..308.
+EXPONENT_MAX = 400
+
+
+def parse_fraction(token: str) -> Fraction:
+    """An integer, decimal or n/m token as an exact fraction; refuses a
+    zero denominator, and an exponent past EXPONENT_MAX in magnitude."""
+    _, e, exp = token.upper().partition("E")
+    digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdigit() and (len(digits) > 3 or int(digits) > EXPONENT_MAX):
+        raise ValueError(f"value {token} has an exponent past {EXPONENT_MAX}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"value {token} has a zero denominator") from None
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from qkit.quantale import (
-    Carrier, CarrierMismatchError, ChainQuantale, FloatUnitQuantale, LUKASIEWICZ
-)
+from qkit.quantale import Carrier, CarrierMismatchError, LUKASIEWICZ, carrier_from
 from qkit.qmodule import (
     FreeModule,
     ModuleVector,
@@ -537,16 +535,11 @@ def save_kernel(p: Kernel, path) -> None:
     embedding, follow in the header as comma-separated `xlabels=`,
     `ylabels=` and `embedding=` fields; other labels are refused.
     """
-    if isinstance(p.carrier, ChainQuantale):
-        kind, d = "chain", p.carrier.d
-        fmt: Callable = str
-    elif isinstance(p.carrier, FloatUnitQuantale):
-        kind, d = "float", 0
-        fmt = lambda v: repr(float(v))  # noqa: E731
-    else:
+    q = p.carrier
+    if q.kind is None:
         raise ValueError("only chain and float kernels serialize to text")
     head = (
-        f"carrier={kind} d={d} tnorm={p.carrier.tnorm} "
+        f"carrier={q.kind} d={q.denominator} tnorm={q.tnorm} "
         f"rows={len(p.x_index)} cols={len(p.y_index)}"
     )
     for key, labels, default in (
@@ -560,7 +553,7 @@ def save_kernel(p: Kernel, path) -> None:
             head += f" {key}=" + ",".join(map(str, labels))
     lines = [head]
     for row in p.rows:
-        lines.append(" ".join(fmt(v) for v in row))
+        lines.append(" ".join(map(q.format, row)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -576,25 +569,17 @@ def load_kernel(path, carrier: Carrier | None = None) -> Kernel:
         raise ValueError(f"expected {rows_n} rows, found {len(body)}")
     # files written before the t-norm was recorded are Lukasiewicz
     tnorm = head.get("tnorm", LUKASIEWICZ)
-    if kind == "chain":
-        carrier = carrier or ChainQuantale(int(head["d"]), tnorm)
-        conv: Callable = int
-    elif kind == "float":
-        carrier = carrier or FloatUnitQuantale(tnorm)
-        conv = float
-    else:
-        raise ValueError(f"unknown carrier kind {kind!r}")
-    rows = tuple(tuple(conv(tok) for tok in ln.split()) for ln in body)
-    for row in rows:
-        if len(row) != cols_n:
-            raise ValueError("ragged kernel row")
+    spec = carrier_from(kind, int(head.get("d", 0)), tnorm)
+    rows = tuple(tuple(map(spec.parse, ln.split())) for ln in body)
+    if any(len(row) != cols_n for row in rows):
+        raise ValueError("ragged kernel row")
 
     def labels(key, default):
         text = head.get(key)
         return default if text is None else tuple(int(t) for t in text.split(",") if t)
 
     return Kernel(
-        carrier,
+        carrier or spec,
         labels("xlabels", tuple(range(rows_n))),
         labels("ylabels", tuple(range(cols_n))),
         rows,

@@ -1,8 +1,12 @@
+import contextlib
 import importlib.util
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -165,7 +169,7 @@ def test_partition_file_method_matches_luk(ramp55, tmp_path):
     assert all(b >= a for a, b in zip(original.pixels, read_pgm(recon).pixels))
 
 
-def test_partition_method_errors(ramp55, tmp_path):
+def test_partition_method_errors(ramp55, tmp_path, capsys):
     out = tmp_path / "x.coef"
     assert (
         main(["compress", str(ramp55), str(out), "--method", "partition-file"]) == 2
@@ -186,6 +190,23 @@ def test_partition_method_errors(ramp55, tmp_path):
         )
         == 2
     )
+    # a zero denominator and a huge exponent are refused at once, with
+    # one error line
+    capsys.readouterr()
+    hostile = tmp_path / "hostile.txt"
+    argv = ["compress", str(ramp55), str(out), "--method", "partition-file"]
+    for token, message in (
+        ("1/0", "zero denominator"),
+        ("1.0e-999999999", "exponent past 400"),
+        ("1.0e-99999999", "exponent past 400"),
+        ("1e-999999999", "invalid literal"),
+    ):
+        hostile.write_text(f"1 5\n{token} 1 1 1 1\n")
+        start = time.perf_counter()
+        assert main(argv + ["--partition", str(hostile)]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_float_carrier_roundtrip(ramp55, tmp_path):
@@ -647,3 +668,68 @@ print(sys.modules.get("numpy") is not None)
         }
     assert len(outputs["numpy"]) == 10
     assert outputs["numpy"] == outputs["block"]
+
+
+# Token fuzz of the four readers the CLI feeds from files.  Each file
+# has a valid header and a body drawn from digits and `./e-+x`; every
+# run must exit 0, or exit 2 with exactly one `error:` line.
+FUZZ_TOKEN = st.one_of(
+    st.text(alphabet="0123456789./e-+x", min_size=1, max_size=8),
+    # number-shaped tokens reach the fraction and exponent paths more often,
+    # and small values let some files load
+    st.from_regex(r"[-+]?[0-9]{0,3}([./][0-9]{0,3})?(e[-+]?[0-9]{1,10})?", fullmatch=True),
+    st.sampled_from(("0", "1", "2", "8", "0.5", "1/2", "1e-05")),
+).filter(bool)
+# the rows and columns of the body each header asks for
+FUZZ_SHAPES = {"pgm": (2, 3), "coefficients": (2, 2), "partition": (2, 3), "structuring": (1, 3)}
+
+COEF_HEADER = (
+    "qkit-coefficients v1\nmethod=luk\ncarrier={kind}\ntnorm=lukasiewicz\n"
+    "denominator={d}\nn=2\nwidth=3\nheight=3\nmaxval=8\nrows=2\ncols=2\n"
+)
+
+
+def _fuzz_case(reader, carrier, body, work):
+    """The file for one reader and the argv that reads it."""
+    image = os.path.join(work, "in.pgm")
+    write_pgm(image, PgmImage(3, 3, 8, (0, 1, 2, 3, 4, 5, 6, 7, 8)))
+    path, out = os.path.join(work, "fuzzed"), os.path.join(work, "out")
+    carrier_args = ["--carrier", "float"] if carrier == "float" else []
+    if reader == "pgm":
+        head, argv = "P2\n3 2\n9\n", ["compress", path, out, "--n", "2"]
+    elif reader == "coefficients":
+        head = COEF_HEADER.format(kind=carrier, d=8 if carrier == "chain" else 0)
+        argv = ["reconstruct", path, out]
+    elif reader == "partition":
+        head = "2 3\n"
+        argv = ["compress", image, out, "--method", "partition-file", "--partition", path]
+        argv += carrier_args
+    else:
+        head, argv = "3 1 1 0\n", ["morph", "dilate", image, path, out, *carrier_args]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(head + body)
+    return argv
+
+
+@pytest.mark.parametrize("reader", ("pgm", "coefficients", "partition", "structuring"))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(carrier=st.sampled_from(("chain", "float")), data=st.data())
+def test_readers_survive_token_fuzz(reader, carrier, data):
+    rows, cols = FUZZ_SHAPES[reader]
+    size = st.one_of(st.just(cols), st.integers(0, 5))
+    line = size.flatmap(lambda n: st.lists(FUZZ_TOKEN, min_size=n, max_size=n))
+    lines = data.draw(st.one_of(st.just(rows), st.integers(0, 4)).flatmap(
+        lambda n: st.lists(line, min_size=n, max_size=n)
+    ))
+    body = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    with tempfile.TemporaryDirectory() as work:
+        argv = _fuzz_case(reader, carrier, body, work)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert "error" not in err

@@ -372,3 +372,27 @@ def test_f_up_adjunction_property(samples):
     assert all(b >= a for a, b in zip(samples, back))
     # and the pair is idempotent: compress, rebuild, compress again
     assert f_up(part, back) == f_up(part, samples)
+
+
+def test_partition_file_writes_float_values_as_floats(tmp_path):
+    # ints 0 and 1 are float-carrier values too; they are written as 0.0
+    # and 1.0 and read back to equal values
+    q = FloatUnitQuantale(LUKASIEWICZ)
+    part = FuzzyPartition(q, ((1, 0.5, 0), (0, 0.5, 1.0)))
+    path = tmp_path / "part.txt"
+    save_partition(path, part)
+    assert path.read_text() == "2 3\n1.0 0.5 0.0\n0.0 0.5 1.0\n"
+    assert load_partition(path, q).table == part.table
+
+
+def test_partition_file_refuses_hostile_fraction_tokens(tmp_path):
+    q = ChainQuantale(4, LUKASIEWICZ)
+    path = tmp_path / "part.txt"
+    for token, message in (
+        ("1/0", "zero denominator"),
+        ("1.0e-999999999", "exponent past 400"),
+        ("1e-999999999", "invalid literal"),
+    ):
+        path.write_text(f"1 2\n{token} 1\n")
+        with pytest.raises(ValueError, match=message):
+            load_partition(path, q)

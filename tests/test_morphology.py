@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,8 @@ from qkit.morphology import (
     translate,
     translate_image,
 )
+from qkit.cli import main
+from qkit.pgm import PgmImage, write_pgm
 from qkit.quantale import (
     CarrierMismatchError,
     ChainQuantale,
@@ -431,7 +434,7 @@ def test_se_file_roundtrip(tmp_path):
     assert load_structuring(fpath) == fse
 
 
-def test_se_file_errors(tmp_path):
+def test_se_file_errors(tmp_path, capsys):
     q = ChainQuantale(4, LUKASIEWICZ)
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1 0 0\n0.3 1\n")
@@ -445,6 +448,29 @@ def test_se_file_errors(tmp_path):
     short.write_text("2 2 0 0\n1 0\n")
     with pytest.raises(ValueError, match="expected 4 weights"):
         load_structuring(short, q)
+    # a zero denominator and a huge exponent are refused at once, by
+    # the library and by `qkit morph`, with one error line and exit 2
+    hostile = tmp_path / "hostile.txt"
+    image = tmp_path / "img.pgm"
+    write_pgm(image, PgmImage(2, 2, 4, (0, 1, 2, 4)))
+    for token, message in (
+        ("1/0", "zero denominator"),
+        ("1e-999999999", "exponent past 400"),
+        ("1e-9999999", "exponent past 400"),
+    ):
+        hostile.write_text(f"2 1 0 0\n1 {token}\n")
+        for carrier in (q, None):
+            with pytest.raises(ValueError, match=message):
+                load_structuring(hostile, carrier)
+        start = time.perf_counter()
+        assert main(["morph", "dilate", str(image), str(hostile), str(tmp_path / "o.pgm")]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    # the exponents float reprs use still load
+    hostile.write_text("2 1 0 0\n1 1e-05\n")
+    assert load_structuring(hostile).weight((1, 0)) == 1e-05
+    assert load_structuring(hostile, ChainQuantale(100000)).weight((1, 0)) == 1
 
 
 def test_grey_image_validation():

@@ -61,6 +61,19 @@ def test_reader_errors(tmp_path):
     header_only.write_text("P2\n2")
     with pytest.raises(ValueError, match="header"):
         read_pgm(header_only)
+    # a token that is no integer is named, in the header and in the raster
+    odd = tmp_path / "odd.pgm"
+    for data, message in (
+        (b"P2\n2 1\n9\n1 x\n", r"^raster token 'x' is not an integer$"),
+        (b"P2\n2 1\n9\n1 2\n3 1.5\n", r"^raster token '1\.5' is not an integer$"),
+        (b"P2\n2 1\n9\n1 \xff\n", r"^raster token '\\xff' is not an integer$"),
+        (b"P2\n2 y\n9\n1 2\n", r"^header token 'y' is not an integer$"),
+        (b"P5\n2 1\n2e2\n\x00\x01", r"^header token '2e2' is not an integer$"),
+        (b"P2\n\xc3\xa9 1\n9\n1 2\n", r"^header token '\\xc3\\xa9' is not an integer$"),
+    ):
+        odd.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            read_pgm(odd)
 
 
 def test_ramp_shape():

@@ -311,3 +311,11 @@ def test_random_vector_respects_carrier():
     for _ in range(20):
         m = random_vector(Q4, X2, rng)
         assert all(0 <= x <= 4 for x in m.values)
+
+
+def test_vector_serialization_refuses_carriers_without_text_form(tmp_path):
+    q = PowersetMonoidQuantale(Monoid.cyclic(2))
+    p = tmp_path / "vec.txt"
+    with pytest.raises(ValueError, match=r"^only chain and float vectors serialize to text$"):
+        save_vector(ModuleVector(q, (0, 1), (q.top, q.bot)), p)
+    assert not p.exists()

@@ -3,14 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from fractions import Fraction
+
 from qkit.quantale import (
+    EXPONENT_MAX,
     CarrierMismatchError,
     ChainQuantale,
     FloatUnitQuantale,
     Monoid,
     NotFiniteError,
     PowersetMonoidQuantale,
+    carrier_from,
     check_quantale_laws,
+    parse_fraction,
     parse_monoid,
     residual_by_search,
 )
@@ -177,3 +182,95 @@ def test_float_adjunction_property(x, y, z):
             assert q.leq(y, q.lres(x, z)) and q.leq(x, q.rres(z, y))
         if y <= q.lres(x, z) - q.tolerance:
             assert q.leq(q.mul(x, y), z)
+
+
+TEXT_CARRIERS = (
+    ChainQuantale(1, "lukasiewicz"),
+    ChainQuantale(4, "godel"),
+    ChainQuantale(255, "lukasiewicz"),
+    ChainQuantale(2**70, "godel"),
+    FloatUnitQuantale("lukasiewicz"),
+    FloatUnitQuantale("godel"),
+    FloatUnitQuantale("product"),
+)
+
+
+@pytest.mark.parametrize("q", TEXT_CARRIERS, ids=repr)
+def test_text_form_names_the_carrier(q):
+    assert carrier_from(q.kind, q.denominator, q.tnorm) == q
+    assert q.denominator == (q.d if q.kind == "chain" else 0)
+
+
+def test_carrier_from_refuses_unknown_kinds():
+    for kind in ("ring", "Chain", "", None):
+        with pytest.raises(ValueError, match="unknown carrier kind"):
+            carrier_from(kind, 4, "lukasiewicz")
+    # the chain checks its own arguments
+    with pytest.raises(ValueError):
+        carrier_from("chain", 0, "lukasiewicz")
+    with pytest.raises(ValueError):
+        carrier_from("chain", 4, "product")
+
+
+def test_chain_values_round_trip_as_ints():
+    for q in TEXT_CARRIERS[:3]:
+        for v in q.elements():
+            back = q.parse(q.format(v))
+            assert back == v and type(back) is int
+    big = TEXT_CARRIERS[3]
+    for v in (0, 1, 2**69 + 3, big.d):
+        assert big.parse(big.format(v)) == v
+
+
+@given(st.one_of(st.sampled_from((0.1, 1e-05, 5e-324, 1.0, 0.0, 0, 1)), st.floats(0.0, 1.0)))
+def test_float_values_round_trip_as_floats(v):
+    q = FloatUnitQuantale("product")
+    back = q.parse(q.format(v))
+    # ints 0 and 1 are float-carrier values too; they read back as floats
+    assert back == v and type(back) is float
+
+
+def test_ratio_and_fraction():
+    q = ChainQuantale(6, "lukasiewicz")
+    assert [q.ratio(k, 3) for k in range(4)] == [0, 2, 4, 6]
+    assert all(q.ratio(*q.fraction(v).as_integer_ratio()) == v for v in q.elements())
+    assert q.fraction(3) == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^value 1/4 is not a multiple of 1/6$"):
+        q.ratio(2, 8)
+    with pytest.raises(ValueError, match=r"^weight 0\.25 is not a multiple of 1/6$"):
+        q.ratio(1, 4, "weight 0.25")
+    f = FloatUnitQuantale("lukasiewicz")
+    assert f.ratio(1, 4) == 0.25 and f.ratio(1, 3) == 1 / 3
+    assert f.fraction(0.5) == 0.5 and f.fraction(1) == 1
+
+
+def test_powerset_has_no_text_form():
+    assert Z2.kind is None
+    for name, arg in (("parse", ("1",)), ("format", (1,)), ("ratio", (1, 2)), ("fraction", (1,))):
+        with pytest.raises(ValueError, match="no text form"):
+            getattr(Z2, name)(*arg)
+
+
+def test_parse_fraction():
+    for token, value in (
+        ("1", 1),
+        ("0", 0),
+        ("1/2", Fraction(1, 2)),
+        ("0.25", Fraction(1, 4)),
+        (".5", Fraction(1, 2)),
+        ("1e-05", Fraction(1, 100000)),
+        ("2.5E-1", Fraction(1, 4)),
+        ("1e0", 1),
+        ("1e-0400", Fraction(1, 10**400)),
+        ("5e-324", Fraction(5, 10**324)),
+    ):
+        assert parse_fraction(token) == value
+    for token in ("1/0", "0/0", "1/00", "1/0_0"):
+        with pytest.raises(ValueError, match=r"zero denominator$"):
+            parse_fraction(token)
+    for token in (f"1e{EXPONENT_MAX + 1}", "1e-999999999", "1.0E+99999999", "1e-9_999_999"):
+        with pytest.raises(ValueError, match=f"exponent past {EXPONENT_MAX}$"):
+            parse_fraction(token)
+    for token in ("x", "1/2/3", "e5", "1e", "."):
+        with pytest.raises(ValueError):
+            parse_fraction(token)

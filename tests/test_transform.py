@@ -419,3 +419,11 @@ def test_kernel_serialization_roundtrip(tmp_path):
     for x, y in (((0, 1), ("a", "b")), (((0, 0), (1, 0)), (0, 1)), ((True, 1), (0, 1))):
         with pytest.raises(ValueError, match="integers"):
             save_kernel(Kernel(Q4, x, y, ((4, 0), (0, 4))), path)
+
+
+def test_kernel_serialization_refuses_carriers_without_text_form(tmp_path):
+    q = PowersetMonoidQuantale(Monoid.cyclic(2))
+    path = tmp_path / "kernel.txt"
+    with pytest.raises(ValueError, match=r"^only chain and float kernels serialize to text$"):
+        save_kernel(Kernel(q, (0, 1), (0,), ((q.top,), (q.bot,))), path)
+    assert not path.exists()
