@@ -56,6 +56,7 @@ from qkit.quantale import (
     LUKASIEWICZ,
     PRODUCT,
     carrier_from,
+    parse_integer,
 )
 from qkit.suites import SUITES, run_suites
 from qkit.transform import _array_direct, _array_inverse, apply_direct, apply_inverse
@@ -67,7 +68,7 @@ def parse_carrier(spec: str, tnorm: str) -> Carrier:
     if spec == "float":
         return FloatUnitQuantale(tnorm)
     if spec.startswith("chain:"):
-        d = int(spec.split(":", 1)[1])
+        d = parse_integer(spec.split(":", 1)[1], "chain denominator")
         if tnorm == PRODUCT:
             raise ValueError("the product t-norm lives on the float carrier only")
         return ChainQuantale(d, tnorm)
@@ -229,10 +230,13 @@ def read_coefficients(path):
         raise ValueError(f"coefficients file lacks keys: {', '.join(missing)}")
     if meta["carrier"] == "chain" and "denominator" not in meta:
         raise ValueError("chain coefficients need a denominator key")
-    carrier = carrier_from(meta["carrier"], int(meta.get("denominator", 0)), meta["tnorm"])
+    denominator = parse_integer(meta.get("denominator", "0"), "denominator value")
+    carrier = carrier_from(meta["carrier"], denominator, meta["tnorm"])
     # the header must fit before any kernel is sized from it
-    n, rows, cols = int(meta["n"]), int(meta["rows"]), int(meta["cols"])
-    width, height = int(meta["width"]), int(meta["height"])
+    n, rows, cols, width, height, maxval = (
+        parse_integer(meta[k], f"{k} value")
+        for k in ("n", "rows", "cols", "width", "height", "maxval")
+    )
     if meta["method"] == "luk":
         fits = 2 <= n <= min(width, height)
     elif meta["method"] == "partition-file":
@@ -241,6 +245,8 @@ def read_coefficients(path):
         raise ValueError(f"unknown method {meta['method']!r}")
     if not fits or rows != n or cols != n:
         raise ValueError(f"header n={n} rows={rows} cols={cols} does not fit {width}x{height}")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"maxval {maxval} outside 1..255")
     body = lines[body_at:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} coefficient rows, found {len(body)}")
@@ -301,7 +307,9 @@ def cmd_reconstruct(args) -> int:
             "not reproduce these coefficients",
             file=sys.stderr,
         )
-    write_pgm(args.out, PgmImage(width, height, maxval, pixels), binary=args.binary)
+    # levels lie in the carrier, so every rounded pixel lies in 0..maxval
+    image = PgmImage._trusted(width, height, maxval, tuple(pixels))
+    write_pgm(args.out, image, binary=args.binary)
     return 0
 
 
@@ -330,7 +338,8 @@ def cmd_morph(args) -> int:
         if not ok:
             return 1
     pixels = tuple(_pixel_from_value(carrier, v, img.maxval) for v in result.values)
-    write_pgm(args.out, PgmImage(img.width, img.height, img.maxval, pixels), binary=args.binary)
+    image = PgmImage._trusted(img.width, img.height, img.maxval, pixels)
+    write_pgm(args.out, image, binary=args.binary)
     return 0
 
 

@@ -19,8 +19,9 @@ rather than tolerance-based.
 
 Partition files are tables in the carrier's text form (see
 `qkit.quantale`): values are written with the carrier's `format`, and
-read with its `parse`, except that a chain also takes decimal and n/m
-tokens through `parse_fraction` and `ratio`, exactly or not at all.
+read with its `parse`, except that a chain also takes decimal, exponent
+and n/m tokens through `parse_fraction` and `ratio`, exactly or not at
+all.
 """
 from __future__ import annotations
 
@@ -31,7 +32,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from qkit.quantale import Carrier, ChainQuantale, LUKASIEWICZ, parse_fraction
+from qkit.quantale import (
+    Carrier,
+    ChainQuantale,
+    LUKASIEWICZ,
+    parse_fraction,
+    parse_integer,
+)
 from qkit.qmodule import ModuleVector
 from qkit.transform import Kernel, apply_direct, apply_inverse
 
@@ -236,16 +243,16 @@ def save_partition(path, partition: FuzzyPartition) -> None:
 def load_partition(path, carrier: Carrier) -> FuzzyPartition:
     """Read a partition table for the given carrier.
 
-    Chain carriers accept integer levels directly; decimal or fraction
-    tokens, read by `parse_fraction`, are scaled by the denominator and
-    must land on a level exactly.  The float carrier parses every token
-    as a float.
+    Chain carriers accept integer levels directly; decimal, exponent or
+    fraction tokens, read by `parse_fraction`, are scaled by the
+    denominator and must land on a level exactly.  The float carrier
+    parses every token as a float.
     """
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError("partition file too short")
-    n, l = int(tokens[0]), int(tokens[1])
+    n, l = (parse_integer(t, "header token") for t in tokens[:2])
     body = tokens[2:]
     if len(body) != n * l:
         raise ValueError(f"expected {n * l} values, found {len(body)}")
@@ -257,7 +264,7 @@ def load_partition(path, carrier: Carrier) -> FuzzyPartition:
 
 
 def _parse_value(carrier: Carrier, token: str):
-    if carrier.kind == "chain" and ("." in token or "/" in token):
+    if carrier.kind == "chain" and any(c in token for c in "./eE"):
         v = parse_fraction(token)
         return carrier.ratio(v.numerator, v.denominator)
     return carrier.parse(token)

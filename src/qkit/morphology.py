@@ -20,6 +20,13 @@ gets the invariance suite.
 Grey dilation and erosion are |SE| row passes of O(cells), each through
 a memo of one weight against the image's distinct levels; bounded passes
 keep the skip rule.  A full-grid element is allowed but quadratic.
+
+Values are checked where they enter: the public `GreyImage` and
+`StructuringElement` constructors and the element reader.  Results of
+carrier operations on checked values are trusted: dilation, erosion,
+translation, pointwise joins and meets, random and set images, and the
+translate kernel are built by the private `_trusted` constructors,
+which check nothing.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ from qkit.quantale import (
     FloatUnitQuantale,
     LUKASIEWICZ,
     parse_fraction,
+    parse_integer,
 )
 from qkit.transform import Kernel
 
@@ -214,6 +222,16 @@ class GreyImage:
             self.carrier.require(v)
 
     @classmethod
+    def _trusted(cls, grid: Grid, carrier: Carrier, values: tuple) -> "GreyImage":
+        """An image whose values tuple is known to hold one element of the
+        carrier per grid cell; builds it without checking."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "grid", grid)
+        object.__setattr__(image, "carrier", carrier)
+        object.__setattr__(image, "values", values)
+        return image
+
+    @classmethod
     def constant(cls, grid: Grid, carrier: Carrier, value) -> "GreyImage":
         return cls(grid, carrier, (value,) * grid.size)
 
@@ -237,7 +255,7 @@ def image_from_set(grid: Grid, carrier: Carrier, cells: Iterable) -> GreyImage:
     vals = tuple(
         carrier.unit if c in members else carrier.bot for c in grid.cells()
     )
-    return GreyImage(grid, carrier, vals)
+    return GreyImage._trusted(grid, carrier, vals)
 
 
 def set_from_image(image: GreyImage) -> frozenset:
@@ -272,7 +290,7 @@ def _row_shift(image: GreyImage, sign, fill, combine, op, entries) -> GreyImage:
             out[x0:x1] = src if combine is None else map(
                 combine, out[x0:x1], map(get, src)
             )
-    return GreyImage.from_rows(grid, image.carrier, acc)
+    return GreyImage._trusted(grid, image.carrier, tuple(chain.from_iterable(acc)))
 
 
 def _shared_carrier(image: GreyImage, se: StructuringElement) -> Carrier:
@@ -315,7 +333,7 @@ def image_join(a: GreyImage, b: GreyImage) -> GreyImage:
     if a.grid != b.grid or a.carrier != b.carrier:
         raise CarrierMismatchError("images are not comparable")
     q = a.carrier
-    return GreyImage(
+    return GreyImage._trusted(
         a.grid, q, tuple(q.join2(x, y) for x, y in zip(a.values, b.values))
     )
 
@@ -324,7 +342,7 @@ def image_meet(a: GreyImage, b: GreyImage) -> GreyImage:
     if a.grid != b.grid or a.carrier != b.carrier:
         raise CarrierMismatchError("images are not comparable")
     q = a.carrier
-    return GreyImage(
+    return GreyImage._trusted(
         a.grid, q, tuple(q.meet2(x, y) for x, y in zip(a.values, b.values))
     )
 
@@ -345,7 +363,7 @@ def image_eq(a: GreyImage, b: GreyImage) -> bool:
 
 def random_image(grid: Grid, carrier: Carrier, rng: random.Random) -> GreyImage:
     els = tuple(carrier.elements())
-    return GreyImage(
+    return GreyImage._trusted(
         grid, carrier, tuple(rng.choice(els) for _ in range(grid.size))
     )
 
@@ -378,7 +396,7 @@ def kernel_of_structuring(se: StructuringElement, grid: Grid) -> Kernel:
         for t in turned
     )
     cells = grid.cells()
-    return Kernel(q, cells, cells, rows)
+    return Kernel._trusted(q, cells, cells, rows)
 
 
 # ------------------------------------------------------------------ I/O
@@ -407,7 +425,7 @@ def _structuring_tokens(path) -> tuple:
         tokens = fh.read().split()
     if len(tokens) < 4:
         raise ValueError("structuring element file too short")
-    w, h, ox, oy = (int(t) for t in tokens[:4])
+    w, h, ox, oy = (parse_integer(t, "header token") for t in tokens[:4])
     body = tokens[4:]
     if w < 1 or h < 1:
         raise ValueError("structuring element box must be positive")

@@ -4,10 +4,18 @@ P2 (ASCII) and P5 (binary) with maxval up to 255.  The writer emits a
 canonical form, so write -> read -> write is byte-identical for P2 and
 value-identical for P5.  Header comments are accepted on input and
 never produced on output.
+
+Values are checked where they enter: the public `PgmImage` constructor
+and `read_pgm` check every pixel, the reader once per pixel.  Images
+whose pixels were computed from checked values, such as the codec's
+reconstructions, are built by the private `PgmImage._trusted`, which
+checks nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from qkit.quantale import parse_integer
 
 
 @dataclass(frozen=True)
@@ -20,19 +28,21 @@ class PgmImage:
     pixels: tuple
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image sides must be positive")
-        if not 1 <= self.maxval <= 255:
-            raise ValueError(f"maxval {self.maxval} outside 1..255")
+        _check_header(self.width, self.height, self.maxval)
         px = tuple(map(int, self.pixels))
         object.__setattr__(self, "pixels", px)
-        if len(px) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(px)}"
-            )
-        if min(px) < 0 or max(px) > self.maxval:
-            bad = next(v for v in px if not 0 <= v <= self.maxval)
-            raise ValueError(f"pixel {bad} outside 0..{self.maxval}")
+        _check_pixels(self.width, self.height, self.maxval, px)
+
+    @classmethod
+    def _trusted(cls, width: int, height: int, maxval: int, pixels: tuple) -> "PgmImage":
+        """An image whose sides, maxval and pixel tuple are known to pass
+        the constructor's checks; builds it without repeating them."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "width", width)
+        object.__setattr__(image, "height", height)
+        object.__setattr__(image, "maxval", maxval)
+        object.__setattr__(image, "pixels", pixels)
+        return image
 
     def at(self, x: int, y: int) -> int:
         return self.pixels[y * self.width + x]
@@ -63,11 +73,21 @@ def _header_tokens(data: bytes):
         yield data[start:i].decode("ascii", "backslashreplace"), i
 
 
-def _integer(token: str, where: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{where} token '{token}' is not an integer") from None
+def _check_header(width: int, height: int, maxval: int) -> None:
+    if width < 1 or height < 1:
+        raise ValueError("image sides must be positive")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"maxval {maxval} outside 1..255")
+
+
+def _check_pixels(width: int, height: int, maxval: int, px: tuple) -> None:
+    """Refuses a pixel tuple of the wrong length or with a value outside
+    0..maxval; px holds ints."""
+    if len(px) != width * height:
+        raise ValueError(f"expected {width * height} pixels, got {len(px)}")
+    if min(px) < 0 or max(px) > maxval:
+        bad = next(v for v in px if not 0 <= v <= maxval)
+        raise ValueError(f"pixel {bad} outside 0..{maxval}")
 
 
 def read_pgm(path) -> PgmImage:
@@ -78,7 +98,7 @@ def read_pgm(path) -> PgmImage:
     if magic not in ("P2", "P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
     (w, _), (h, _), (maxval, end) = next(tokens), next(tokens), next(tokens)
-    w, h, maxval = (_integer(t, "header") for t in (w, h, maxval))
+    w, h, maxval = (parse_integer(t, "header token") for t in (w, h, maxval))
     if magic == "P2":
         # line by line, so that no list of every raster token is built
         pixels = []
@@ -87,14 +107,17 @@ def read_pgm(path) -> PgmImage:
                 pixels.extend(map(int, line.split()))
         except ValueError:
             for tok in line.split():
-                _integer(tok.decode("ascii", "backslashreplace"), "raster")
+                parse_integer(tok.decode("ascii", "backslashreplace"), "raster token")
+        pixels = tuple(pixels)
     else:
         # single whitespace byte separates header from raster
         raster = data[end + 1 :]
         if len(raster) < w * h:
             raise ValueError("truncated raster")
-        pixels = raster[: w * h]
-    return PgmImage(w, h, maxval, pixels)
+        pixels = tuple(raster[: w * h])
+    _check_header(w, h, maxval)
+    _check_pixels(w, h, maxval, pixels)
+    return PgmImage._trusted(w, h, maxval, pixels)
 
 
 def write_pgm(path, image: PgmImage, binary: bool = False) -> None:

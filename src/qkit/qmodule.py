@@ -11,13 +11,20 @@ so the three-way adjunction  q * n <= m  iff  n <= sdiv(q, m)  iff
 q <= vdiv(m, n)  holds.  Quotients by a nucleus, interval modules and
 finite products reuse the same small interface: bot/top, join2/meet2,
 leq/eq, star/sdiv/vdiv, elements().
+
+Values are checked where they enter: the public `ModuleVector`
+constructor, `load_vector`, and the scalar or constant handed to
+`scalar_mul`, `scalar_ldiv` and `constant_vector`.  Results of carrier
+operations on checked values are trusted: the vector operations build
+their results with the private `ModuleVector._trusted`, which checks
+nothing.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from qkit.quantale import (
@@ -27,6 +34,7 @@ from qkit.quantale import (
     LawReport,
     NotFiniteError,
     carrier_from,
+    parse_integer,
 )
 
 
@@ -43,6 +51,16 @@ class ModuleVector:
             raise ValueError("index and value lengths differ")
         for v in self.values:
             self.carrier.require(v)
+
+    @classmethod
+    def _trusted(cls, carrier: Carrier, index: tuple, values: tuple) -> "ModuleVector":
+        """A vector whose values tuple is known to hold elements of the
+        carrier, one per label of index; builds it without checking."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "carrier", carrier)
+        object.__setattr__(m, "index", index)
+        object.__setattr__(m, "values", values)
+        return m
 
     @cached_property
     def _pos(self) -> dict:
@@ -68,7 +86,9 @@ def _aligned(m: ModuleVector, n: ModuleVector) -> None:
 
 
 def constant_vector(carrier: Carrier, index: Sequence, value) -> ModuleVector:
-    return ModuleVector(carrier, tuple(index), (value,) * len(tuple(index)))
+    carrier.require(value)
+    index = tuple(index)
+    return ModuleVector._trusted(carrier, index, (value,) * len(index))
 
 
 def bottom_vector(carrier: Carrier, index: Sequence) -> ModuleVector:
@@ -84,7 +104,7 @@ def basis_vector(carrier: Carrier, index: Sequence, label) -> ModuleVector:
     index = tuple(index)
     if label not in index:
         raise ValueError(f"{label!r} is not in the index set")
-    return ModuleVector(
+    return ModuleVector._trusted(
         carrier,
         index,
         tuple(carrier.unit if x == label else carrier.bot for x in index),
@@ -113,7 +133,7 @@ def vec_join(ms: Iterable[ModuleVector], *, carrier=None, index=None) -> ModuleV
     join2 = out.carrier.join2
     for m in ms[1:]:
         _aligned(out, m)
-        out = ModuleVector(
+        out = ModuleVector._trusted(
             out.carrier, out.index, tuple(map(join2, out.values, m.values))
         )
     return out
@@ -129,7 +149,7 @@ def vec_meet(ms: Iterable[ModuleVector], *, carrier=None, index=None) -> ModuleV
     meet2 = out.carrier.meet2
     for m in ms[1:]:
         _aligned(out, m)
-        out = ModuleVector(
+        out = ModuleVector._trusted(
             out.carrier, out.index, tuple(map(meet2, out.values, m.values))
         )
     return out
@@ -139,21 +159,21 @@ def scalar_mul(q, m: ModuleVector) -> ModuleVector:
     """(q * m)(x) = q . m(x)."""
     m.carrier.require(q)
     mul = m.carrier.mul
-    return ModuleVector(m.carrier, m.index, tuple(mul(q, v) for v in m.values))
+    return ModuleVector._trusted(m.carrier, m.index, tuple(mul(q, v) for v in m.values))
 
 
 def scalar_ldiv(q, m: ModuleVector) -> ModuleVector:
     """Largest n with q * n <= m: pointwise left residual q \\ m(x)."""
     m.carrier.require(q)
     lres = m.carrier.lres
-    return ModuleVector(m.carrier, m.index, tuple(lres(q, v) for v in m.values))
+    return ModuleVector._trusted(m.carrier, m.index, tuple(lres(q, v) for v in m.values))
 
 
 def vec_div(m: ModuleVector, n: ModuleVector):
     """Largest scalar q with q * n <= m: the meet over x of m(x) / n(x)."""
     _aligned(m, n)
-    rres = m.carrier.rres
-    return m.carrier.meet(rres(a, b) for a, b in zip(m.values, n.values))
+    q = m.carrier
+    return reduce(q.meet2, map(q.rres, m.values, n.values), q.top)
 
 
 def enumerate_vectors(carrier: Carrier, index: Sequence) -> Iterator[ModuleVector]:
@@ -162,13 +182,13 @@ def enumerate_vectors(carrier: Carrier, index: Sequence) -> Iterator[ModuleVecto
     index = tuple(index)
     els = tuple(carrier.elements())
     for values in itertools.product(els, repeat=len(index)):
-        yield ModuleVector(carrier, index, values)
+        yield ModuleVector._trusted(carrier, index, values)
 
 
 def random_vector(carrier: Carrier, index: Sequence, rng: random.Random) -> ModuleVector:
     els = tuple(carrier.elements()) if carrier.is_finite else tuple(carrier.grid())
     index = tuple(index)
-    return ModuleVector(carrier, index, tuple(rng.choice(els) for _ in index))
+    return ModuleVector._trusted(carrier, index, tuple(rng.choice(els) for _ in index))
 
 
 class FreeModule:
@@ -862,7 +882,9 @@ def load_vector(path, carrier: Carrier | None = None) -> ModuleVector:
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise ValueError("truncated vector file")
-    kind, denom, size = tokens[0], int(tokens[1]), int(tokens[2])
+    kind = tokens[0]
+    denom = parse_integer(tokens[1], "denominator value")
+    size = parse_integer(tokens[2], "size value")
     body = tokens[3:]
     # the t-norm is the one word among the numbers; files without it
     # predate it and are Lukasiewicz

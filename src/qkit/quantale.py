@@ -16,6 +16,8 @@ and float carriers: `kind` and `denominator` name one in a header, and
 `carrier_from` builds it back; `parse`/`format` spell a value; `ratio`
 and `fraction` map exact unit-interval numbers, as `parse_fraction`
 reads them, to values and back.  The powerset carrier has no text form.
+`parse_integer` reads the integer fields of every header.  A token that
+does not parse is named in the error, never passed on in Python's words.
 """
 from __future__ import annotations
 
@@ -177,8 +179,11 @@ class ChainQuantale(Carrier):
 
     # text form: levels are written as integers
     kind = "chain"
-    parse = staticmethod(int)
     format = staticmethod(str)
+
+    @staticmethod
+    def parse(token: str) -> int:
+        return parse_integer(token, "value token")
 
     denominator = property(lambda self: self.d)
 
@@ -269,8 +274,14 @@ class FloatUnitQuantale(Carrier):
     # text form: values are written as float reprs
     kind = "float"
     denominator = 0
-    parse = staticmethod(float)
     format = staticmethod(lambda v: repr(float(v)))
+
+    @staticmethod
+    def parse(token: str) -> float:
+        try:
+            return float(token)
+        except ValueError:
+            raise ValueError(f"value token '{token}' is not a number") from None
 
     def ratio(self, num: int, den: int, label: str | None = None) -> float:
         return num / den
@@ -289,6 +300,15 @@ def carrier_from(kind: str, d: int, tnorm: str) -> Carrier:
     raise ValueError(f"unknown carrier kind {kind!r}")
 
 
+def parse_integer(token: str, what: str) -> int:
+    """An integer token; anything else is refused with a message that
+    names `what` was read and the token itself."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} '{token}' is not an integer") from None
+
+
 # Fraction builds 10**e for an exponent e, so a few bytes can cost
 # minutes; float reprs stay within -324..308.
 EXPONENT_MAX = 400
@@ -305,6 +325,8 @@ def parse_fraction(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"value {token} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"value token '{token}' is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -357,8 +379,8 @@ def parse_monoid(text: str) -> Monoid:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty monoid file")
-    n = int(tokens[0])
-    body = [int(t) for t in tokens[1:]]
+    n = parse_integer(tokens[0], "monoid size")
+    body = [parse_integer(t, "monoid entry") for t in tokens[1:]]
     if len(body) != n * n:
         raise ValueError(f"expected {n * n} entries, found {len(body)}")
     rows = tuple(tuple(body[i * n : (i + 1) * n]) for i in range(n))

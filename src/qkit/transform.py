@@ -16,6 +16,15 @@ keeps grid-sized kernels with small support cheap.  On an integer
 chain, the private `_array_direct`/`_array_inverse` apply the same
 pair to every row of an int64 array at once (numpy, imported only
 there); the CLI codec uses them.
+
+Values are checked where they enter: the public `Kernel` and
+`ModuleVector` constructors, `load_kernel`, and the scalar handed to
+`scale_left`.  Results of carrier operations on checked values are
+trusted: transforms, transposes, joins, the random and projective
+kernels, cores and extensions are built by the private `_trusted`
+constructors, which check nothing.  `kernel_of_hom` and
+`lift_through_projection` tabulate user-supplied maps, so their kernels
+are checked.
 """
 from __future__ import annotations
 
@@ -24,7 +33,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from qkit.quantale import Carrier, CarrierMismatchError, LUKASIEWICZ, carrier_from
+from qkit.quantale import (
+    Carrier,
+    CarrierMismatchError,
+    LUKASIEWICZ,
+    carrier_from,
+    parse_integer,
+)
 from qkit.qmodule import (
     FreeModule,
     ModuleVector,
@@ -91,8 +106,27 @@ class Kernel:
                 raise ValueError("row width must match the y index")
             for v in row:
                 self.carrier.require(v)
+        self._check_embedding()
+
+    def _check_embedding(self) -> None:
         if self.embedding is not None and len(self.embedding) != len(self.y_index):
             raise ValueError("embedding must list one x label per y label")
+
+    @classmethod
+    def _trusted(
+        cls, carrier: Carrier, x_index: tuple, y_index: tuple, rows: tuple,
+        embedding: tuple | None = None,
+    ) -> "Kernel":
+        """A kernel whose rows are known to hold elements of the carrier,
+        one row per x label and one entry per y label, with an embedding
+        of the right length or none; builds it without checking."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "carrier", carrier)
+        object.__setattr__(p, "x_index", x_index)
+        object.__setattr__(p, "y_index", y_index)
+        object.__setattr__(p, "rows", rows)
+        object.__setattr__(p, "embedding", embedding)
+        return p
 
     @cached_property
     def _x_pos(self) -> dict:
@@ -152,7 +186,7 @@ class Kernel:
             tuple(self.rows[i][j] for i in range(len(self.x_index)))
             for j in range(len(self.y_index))
         )
-        return Kernel(self.carrier, self.y_index, self.x_index, cols)
+        return Kernel._trusted(self.carrier, self.y_index, self.x_index, cols)
 
     def pointwise_join(self, others: Sequence["Kernel"]) -> "Kernel":
         join2 = self.carrier.join2
@@ -163,13 +197,13 @@ class Kernel:
                 tuple(join2(a, b) for a, b in zip(ra, rb))
                 for ra, rb in zip(rows, other.rows)
             )
-        return Kernel(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        return Kernel._trusted(self.carrier, self.x_index, self.y_index, rows, self.embedding)
 
     def scale_left(self, q) -> "Kernel":
         mul = self.carrier.mul
         self.carrier.require(q)
         rows = tuple(tuple(mul(q, v) for v in row) for row in self.rows)
-        return Kernel(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        return Kernel._trusted(self.carrier, self.x_index, self.y_index, rows, self.embedding)
 
     def _require_parallel(self, other: "Kernel") -> None:
         if (
@@ -192,7 +226,7 @@ def apply_direct(p: Kernel, f: ModuleVector) -> ModuleVector:
         for i, v in col:
             acc = join2(acc, mul(fv[i], v))
         out.append(acc)
-    return ModuleVector(p.carrier, p.y_index, tuple(out))
+    return ModuleVector._trusted(p.carrier, p.y_index, tuple(out))
 
 
 def apply_inverse(p: Kernel, g: ModuleVector) -> ModuleVector:
@@ -207,7 +241,7 @@ def apply_inverse(p: Kernel, g: ModuleVector) -> ModuleVector:
         for j, v in row:
             acc = meet2(acc, rres(gv[j], v))
         out.append(acc)
-    return ModuleVector(p.carrier, p.x_index, tuple(out))
+    return ModuleVector._trusted(p.carrier, p.x_index, tuple(out))
 
 
 def _bands(np, bands):
@@ -274,7 +308,7 @@ def apply_direct_right(p: Kernel, f: ModuleVector) -> ModuleVector:
         for i, v in col:
             acc = join2(acc, mul(v, fv[i]))
         out.append(acc)
-    return ModuleVector(p.carrier, p.y_index, tuple(out))
+    return ModuleVector._trusted(p.carrier, p.y_index, tuple(out))
 
 
 def apply_inverse_right(p: Kernel, g: ModuleVector) -> ModuleVector:
@@ -289,7 +323,7 @@ def apply_inverse_right(p: Kernel, g: ModuleVector) -> ModuleVector:
         for j, v in row:
             acc = meet2(acc, lres(v, gv[j]))
         out.append(acc)
-    return ModuleVector(p.carrier, p.x_index, tuple(out))
+    return ModuleVector._trusted(p.carrier, p.x_index, tuple(out))
 
 
 class KernelHom:
@@ -387,7 +421,7 @@ def projective_coder(carrier: Carrier, x_index: Sequence, y_index: Sequence) -> 
     rows = tuple(
         tuple(e if x == y else bot for y in y_index) for x in x_index
     )
-    return Kernel(carrier, x_index, y_index, rows)
+    return Kernel._trusted(carrier, x_index, y_index, rows)
 
 
 def _require_inclusion(p: Kernel) -> None:
@@ -416,7 +450,7 @@ def core(p: Kernel) -> Kernel:
     keep = set(support(p))
     cols = [j for j, y in enumerate(p.y_index) if y in keep]
     rows = tuple(tuple(row[j] for j in cols) for row in p.rows)
-    return Kernel(p.carrier, p.x_index, tuple(p.y_index[j] for j in cols), rows)
+    return Kernel._trusted(p.carrier, p.x_index, tuple(p.y_index[j] for j in cols), rows)
 
 
 def is_irreducible(p: Kernel) -> bool:
@@ -441,7 +475,7 @@ def projective_extension(p: Kernel, z_index: Sequence) -> Kernel:
                 for z in z_index
             )
         )
-    return Kernel(p.carrier, p.x_index, z_index, tuple(rows))
+    return Kernel._trusted(p.carrier, p.x_index, z_index, tuple(rows))
 
 
 def kernel_closure(p: Kernel) -> Kernel:
@@ -504,7 +538,9 @@ def random_kernel(
     rows = tuple(
         tuple(rng.choice(els) for _ in y_index) for _ in x_index
     )
-    return Kernel(carrier, x_index, y_index, rows, embedding)
+    p = Kernel._trusted(carrier, x_index, y_index, rows, embedding)
+    p._check_embedding()
+    return p
 
 
 def random_strong_kernel(
@@ -524,7 +560,7 @@ def random_strong_kernel(
             rows.append(tuple(e if y == x else bot for y in y_index))
         else:
             rows.append(tuple(rng.choice(els) for _ in y_index))
-    return Kernel(carrier, x_index, y_index, tuple(rows))
+    return Kernel._trusted(carrier, x_index, y_index, tuple(rows))
 
 
 def save_kernel(p: Kernel, path) -> None:
@@ -561,22 +597,34 @@ def save_kernel(p: Kernel, path) -> None:
 def load_kernel(path, carrier: Carrier | None = None) -> Kernel:
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = dict(tok.split("=", 1) for tok in lines[0].split())
+    if not lines:
+        raise ValueError("empty kernel file")
+    head = {}
+    for tok in lines[0].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"header token '{tok}' is not key=value")
+        head[key] = value
+    missing = [k for k in ("rows", "cols") if k not in head]
+    if missing:
+        raise ValueError(f"kernel header lacks keys: {', '.join(missing)}")
     kind = head.get("carrier")
-    rows_n, cols_n = int(head["rows"]), int(head["cols"])
+    rows_n, cols_n = (parse_integer(head[k], f"{k} value") for k in ("rows", "cols"))
     body = lines[1:]
     if len(body) != rows_n:
         raise ValueError(f"expected {rows_n} rows, found {len(body)}")
     # files written before the t-norm was recorded are Lukasiewicz
     tnorm = head.get("tnorm", LUKASIEWICZ)
-    spec = carrier_from(kind, int(head.get("d", 0)), tnorm)
+    spec = carrier_from(kind, parse_integer(head.get("d", "0"), "d value"), tnorm)
     rows = tuple(tuple(map(spec.parse, ln.split())) for ln in body)
     if any(len(row) != cols_n for row in rows):
         raise ValueError("ragged kernel row")
 
     def labels(key, default):
         text = head.get(key)
-        return default if text is None else tuple(int(t) for t in text.split(",") if t)
+        if text is None:
+            return default
+        return tuple(parse_integer(t, f"{key} value") for t in text.split(",") if t)
 
     return Kernel(
         carrier or spec,

@@ -52,6 +52,8 @@ def test_parse_carrier():
         parse_carrier("ring:4", LUKASIEWICZ)
     with pytest.raises(ValueError):
         parse_carrier("chain:4", "product")
+    with pytest.raises(ValueError, match=r"^chain denominator 'x' is not an integer$"):
+        parse_carrier("chain:x", LUKASIEWICZ)
 
 
 def test_compress_frozen_matrix(ramp55, tmp_path):
@@ -199,7 +201,7 @@ def test_partition_method_errors(ramp55, tmp_path, capsys):
         ("1/0", "zero denominator"),
         ("1.0e-999999999", "exponent past 400"),
         ("1.0e-99999999", "exponent past 400"),
-        ("1e-999999999", "invalid literal"),
+        ("1e-999999999", "exponent past 400"),
     ):
         hostile.write_text(f"1 5\n{token} 1 1 1 1\n")
         start = time.perf_counter()
@@ -207,6 +209,12 @@ def test_partition_method_errors(ramp55, tmp_path, capsys):
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    # an exponent token reads the same with or without a decimal point
+    for token in ("1e-05", "1.0e-05", "1E-05"):
+        hostile.write_text(f"1 5\n{token} 1 1 1 1\n")
+        assert main(argv + ["--partition", str(hostile)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: value 1/100000 is not a multiple of 1/8\n"
 
 
 def test_float_carrier_roundtrip(ramp55, tmp_path):
@@ -266,6 +274,17 @@ def test_corrupt_coefficients_rejected(tmp_path, capsys):
             f"error: {offender} is not an element of "
             "ChainQuantale(d=8, tnorm='lukasiewicz')\n"
         )
+    # a token that does not parse is named, not passed on in Python's words
+    for body, change, message in (
+        ("0 0 0\n1 x\n0 0 0\n", {}, "value token 'x' is not an integer"),
+        ("0 0 0\n0 0.5 0\n0 0 0\n", {}, "value token '0.5' is not an integer"),
+        ("0 0 0\n0 x 0\n0 0 0\n", dict(carrier="float"), "value token 'x' is not a number"),
+        ("0 0 0\n" * 3, dict(n="x"), "n value 'x' is not an integer"),
+        ("0 0 0\n" * 3, dict(width="5.0"), "width value '5.0' is not an integer"),
+        ("0 0 0\n" * 3, dict(maxval="y"), "maxval value 'y' is not an integer"),
+        ("0 0 0\n" * 3, dict(denominator="2/3"), "denominator value '2/3' is not an integer"),
+    ):
+        assert reconstruct_error(body, **change) == f"error: {message}\n"
     # a maxval no PGM can have, on a chain near the int64 bound: the
     # rounding would overflow int64, so no stray off-grid warning comes
     # before the error

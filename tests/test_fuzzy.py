@@ -391,8 +391,20 @@ def test_partition_file_refuses_hostile_fraction_tokens(tmp_path):
     for token, message in (
         ("1/0", "zero denominator"),
         ("1.0e-999999999", "exponent past 400"),
-        ("1e-999999999", "invalid literal"),
+        ("1e-999999999", "exponent past 400"),
     ):
         path.write_text(f"1 2\n{token} 1\n")
         with pytest.raises(ValueError, match=message):
             load_partition(path, q)
+
+
+def test_partition_file_reads_exponents_with_or_without_a_point(tmp_path):
+    q = ChainQuantale(4, LUKASIEWICZ)
+    path = tmp_path / "part.txt"
+    for token in ("1e-05", "1.0e-05"):
+        path.write_text(f"1 2\n{token} 4\n")
+        with pytest.raises(ValueError, match=r"^value 1/100000 is not a multiple of 1/4$"):
+            load_partition(path, q)
+    for token, level in (("5e-1", 2), ("5.0e-1", 2), ("25E-2", 1), ("2.5E-1", 1)):
+        path.write_text(f"1 2\n{token} 4\n")
+        assert load_partition(path, q).table == ((level, 4),)

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkit.quantale import (
     CarrierMismatchError,
@@ -319,3 +323,43 @@ def test_vector_serialization_refuses_carriers_without_text_form(tmp_path):
     with pytest.raises(ValueError, match=r"^only chain and float vectors serialize to text$"):
         save_vector(ModuleVector(q, (0, 1), (q.top, q.bot)), p)
     assert not p.exists()
+
+
+# Library-level fuzz of the vector reader: every file either loads or is
+# refused with a ValueError that names what was wrong.
+VECTOR_TOKEN = st.one_of(
+    st.text(alphabet="0123456789.-+ex", min_size=1, max_size=6),
+    st.sampled_from(("0", "1", "2", "4", "0.5", "chain", "float", "godel", "product")),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    head=st.lists(VECTOR_TOKEN, max_size=4),
+    body=st.lists(VECTOR_TOKEN, max_size=4),
+    valid=st.booleans(),
+)
+def test_vector_reader_survives_token_fuzz(head, body, valid):
+    if valid:
+        head = ["chain", "4", str(len(body))] + head[:1]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "vector.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(" ".join(head) + "\n" + "\n".join(body) + "\n")
+        try:
+            load_vector(path)
+        except ValueError as exc:
+            assert "invalid literal" not in str(exc).lower(), exc
+
+
+def test_vector_reader_names_the_bad_field(tmp_path):
+    path = tmp_path / "vector.txt"
+    for text, message in (
+        ("chain x 1\n4\n", "denominator value 'x' is not an integer"),
+        ("chain 4 1.0\n4\n", "size value '1.0' is not an integer"),
+        ("chain 4 2\n4\n2x\n", "value token '2x' is not an integer"),
+        ("float 0 1\n0.x\n", "value token '0.x' is not a number"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_vector(path)

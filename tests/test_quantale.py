@@ -1,7 +1,8 @@
 import itertools
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qkit.quantale import (
     carrier_from,
     check_quantale_laws,
     parse_fraction,
+    parse_integer,
     parse_monoid,
     residual_by_search,
 )
@@ -152,6 +154,10 @@ def test_monoid_parsing_roundtrip():
         parse_monoid("2\n0 1\n1")
     with pytest.raises(ValueError):
         parse_monoid("2\n0 7\n1 0")
+    with pytest.raises(ValueError, match=r"^monoid entry 'x' is not an integer$"):
+        parse_monoid("2\n0 1 x 0")
+    with pytest.raises(ValueError, match=r"^monoid size '2\.0' is not an integer$"):
+        parse_monoid("2.0\n0 1 1 0")
 
 
 def test_symmetric_monoid_is_noncommutative_group():
@@ -272,5 +278,36 @@ def test_parse_fraction():
         with pytest.raises(ValueError, match=f"exponent past {EXPONENT_MAX}$"):
             parse_fraction(token)
     for token in ("x", "1/2/3", "e5", "1e", "."):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^value token '{re.escape(token)}' is not a number$"):
             parse_fraction(token)
+
+
+def test_parse_names_the_bad_token():
+    for q in (CHAIN4_LUK, ChainQuantale(255, "godel")):
+        for token in ("x", "1.5", "1e3", "0x1"):
+            with pytest.raises(ValueError, match=rf"^value token '{re.escape(token)}' is not an integer$"):
+                q.parse(token)
+    for token in ("x", "1/2", "0.5.1"):
+        with pytest.raises(ValueError, match=rf"^value token '{re.escape(token)}' is not a number$"):
+            FloatUnitQuantale().parse(token)
+    with pytest.raises(ValueError, match=r"^rows value '3x' is not an integer$"):
+        parse_integer("3x", "rows value")
+    assert parse_integer("-12", "rows value") == -12
+
+
+# Library-level fuzz of the monoid reader: every text either loads or is
+# refused with a ValueError that names what was wrong.
+MONOID_TOKEN = st.one_of(
+    st.text(alphabet="0123456789-+.x", min_size=1, max_size=4),
+    st.sampled_from(("0", "1", "2", "3")),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.lists(MONOID_TOKEN, max_size=4), max_size=5))
+def test_monoid_reader_survives_token_fuzz(lines):
+    text = "\n".join(" ".join(tokens) for tokens in lines)
+    try:
+        parse_monoid(text)
+    except ValueError as exc:
+        assert "invalid literal" not in str(exc).lower(), exc

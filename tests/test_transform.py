@@ -1,7 +1,11 @@
 import itertools
+import os
+import re
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkit.fuzzy import GridAlignmentWarning, luk_kernel
 from qkit.quantale import (
@@ -427,3 +431,60 @@ def test_kernel_serialization_refuses_carriers_without_text_form(tmp_path):
     with pytest.raises(ValueError, match=r"^only chain and float kernels serialize to text$"):
         save_kernel(Kernel(q, (0, 1), (0,), ((q.top,), (q.bot,))), path)
     assert not path.exists()
+
+
+# Library-level fuzz of the kernel reader: headers mix well-formed and
+# broken key=value fields, bodies mix number-shaped and stray tokens.
+# Every file either loads or is refused with a ValueError that names
+# what was wrong.
+KERNEL_TOKEN = st.one_of(
+    st.text(alphabet="0123456789.-+ex,=", min_size=1, max_size=6),
+    st.sampled_from(("0", "1", "2", "4", "0.5", "1.0")),
+)
+KERNEL_FIELD = st.one_of(
+    st.tuples(
+        st.sampled_from(("carrier", "d", "tnorm", "rows", "cols", "xlabels", "ylabels", "embedding")),
+        st.one_of(
+            KERNEL_TOKEN,
+            st.sampled_from(("chain", "float", "lukasiewicz", "godel", "product", "0,1", "1,0,2")),
+        ),
+    ).map("=".join),
+    KERNEL_TOKEN,
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    head=st.lists(KERNEL_FIELD, max_size=7),
+    body=st.lists(st.lists(KERNEL_TOKEN, max_size=3), max_size=3),
+    valid=st.booleans(),
+)
+def test_kernel_reader_survives_token_fuzz(head, body, valid):
+    if valid:
+        head = ["carrier=chain", "d=4", "rows=2", "cols=2"] + head[:1]
+    text = " ".join(head) + "\n" + "".join(" ".join(line) + "\n" for line in body)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "kernel.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        try:
+            load_kernel(path)
+        except ValueError as exc:
+            assert "invalid literal" not in str(exc).lower(), exc
+
+
+def test_kernel_reader_names_the_bad_field(tmp_path):
+    path = tmp_path / "kernel.txt"
+    for text, message in (
+        ("", "empty kernel file"),
+        ("carrier=chain d=4 rows=1\n4\n", "kernel header lacks keys: cols"),
+        ("carrier=chain d=4 rows=1 cols=1 x\n4\n", "header token 'x' is not key=value"),
+        ("carrier=chain d=4 rows=1 cols=x\n4\n", "cols value 'x' is not an integer"),
+        ("carrier=chain d=4.0 rows=1 cols=1\n4\n", "d value '4.0' is not an integer"),
+        ("carrier=chain d=4 rows=1 cols=1\n4x\n", "value token '4x' is not an integer"),
+        ("carrier=float d=0 rows=1 cols=1\n.x\n", "value token '.x' is not a number"),
+        ("carrier=chain d=4 rows=1 cols=1 xlabels=a\n4\n", "xlabels value 'a' is not an integer"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_kernel(path)
