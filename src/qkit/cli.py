@@ -144,12 +144,13 @@ def _separable_direct(kern_w, kern_h, pixels, maxval: int) -> tuple:
         rows = _array_direct(kern_w, levels)
         return tuple(map(tuple, _array_direct(kern_h, rows.T).T.tolist()))
     levels = _levels_from_pixels(q, pixels, maxval)
+    vector = ModuleVector._trusted  # levels and transform results are elements
     row_stage = [
-        apply_direct(kern_w, ModuleVector(q, kern_w.x_index, levels[i : i + width])).values
+        apply_direct(kern_w, vector(q, kern_w.x_index, levels[i : i + width])).values
         for i in range(0, len(levels), width)
     ]
     cols = [
-        apply_direct(kern_h, ModuleVector(q, kern_h.x_index, col)).values
+        apply_direct(kern_h, vector(q, kern_h.x_index, col)).values
         for col in zip(*row_stage)
     ]
     return tuple(zip(*cols))
@@ -160,11 +161,12 @@ def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
     pixels; returns the pixels and whether some level fell between two
     pixel values."""
     q = kern_w.carrier
+    # the file's values must be elements of the carrier (levels, before
+    # int64 can hold them); column by column, so the first offender is
+    # the one reported
+    q.require(*itertools.chain.from_iterable(zip(*coeffs)))
     np = _int64_numpy(q, maxval)
     if np is not None:
-        # the file's values must be levels before int64 can hold them;
-        # column by column, so the first offender is the one reported
-        q.require(*itertools.chain.from_iterable(zip(*coeffs)))
         cols = _array_inverse(kern_h, np.array(coeffs, dtype=np.int64).T)
         levels = _array_inverse(kern_w, cols.T)
         # in place, so that no further image-sized array is allocated
@@ -174,14 +176,15 @@ def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
         levels *= maxval
         levels %= q.d
         return pixels.ravel().tolist(), bool(levels.any())
+    vector = ModuleVector._trusted
     cols = [
-        apply_inverse(kern_h, ModuleVector(q, kern_h.y_index, col)).values
+        apply_inverse(kern_h, vector(q, kern_h.y_index, col)).values
         for col in zip(*coeffs)
     ]
     levels = tuple(
         v
         for row in zip(*cols)
-        for v in apply_inverse(kern_w, ModuleVector(q, kern_w.y_index, row)).values
+        for v in apply_inverse(kern_w, vector(q, kern_w.y_index, row)).values
     )
     off_grid = isinstance(q, ChainQuantale) and any(v * maxval % q.d for v in levels)
     return [_pixel_from_value(q, v, maxval) for v in levels], off_grid
@@ -322,7 +325,8 @@ def cmd_morph(args) -> int:
     se = load_structuring(args.se, carrier)
     grid = Grid(img.width, img.height, mode=args.mode)
     levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
-    grey = GreyImage(grid, carrier, levels)
+    # the reader checked every pixel, so every level is an element
+    grey = GreyImage._trusted(grid, carrier, levels)
     ops = {
         "dilate": dilate_grey,
         "erode": erode_grey,

@@ -114,8 +114,9 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
             GridAlignmentWarning,
             stacklevel=2,
         )
+    # every entry is carrier.ratio of a level p_k(j) L in 0..L
     rows = tuple(zip(*_basis_grid(n, l, carrier)))
-    return Kernel(carrier, tuple(range(l)), y_index, rows, embedding)
+    return Kernel._trusted(carrier, tuple(range(l)), y_index, rows, embedding)
 
 
 @dataclass(frozen=True)

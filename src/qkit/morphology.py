@@ -3,19 +3,23 @@
 Binary images are cell sets, grey images carry quantale values, and a
 structuring element is a finite-support map from offsets to values.
 Dilation is the join of weighted translates, erosion the meet of the
-matching residua, and in wrap mode the pair is literally the kernel
-transform of k(x, y) = A(y - x), so all three forms can be compared
-bit for bit.
+matching residua.  On both grid modes the pair is the right-hand kernel
+transform pair H, L (`apply_direct_right`, `apply_inverse_right`) of
+the translate kernel k(x, y) = A(y - x), so all three forms can be
+compared bit for bit.  Dilation multiplies the weight on the left,
+A(a) . X(y - a), which is why it is the right-hand transform; on a
+commutative carrier the two hands agree.
 
-Wrap mode treats the grid as a torus, which is what makes translation
-a group and the translate-kernel well defined.  Bounded mode pads the
-image with bottom instead: dilation drops contributions that fall off
-the grid, and erosion constrains only in-grid pixels (an offset that
-pokes outside imposes nothing, so border meets can come up empty and
-yield top).  That skip rule is forced by the adjunction: it makes the
-bounded erosion the exact residual of the clipped dilation.  The price
-is that translation invariance fails at the edges, so only wrap mode
-gets the invariance suite.
+Wrap mode treats the grid as a torus, which makes translation a group.
+Bounded mode pads the image with bottom instead: dilation drops
+contributions that fall off the grid, and erosion constrains only
+in-grid pixels (an offset that pokes outside imposes nothing, so border
+meets can come up empty and yield top).  The translate kernel of a
+bounded grid is clipped: it has no entry for a target off the grid.
+The skip rule is then a checked identity, not a convention: erosion is
+L of the clipped kernel, the exact residual of the clipped dilation.
+The price is that translation invariance fails at the edges, so only
+wrap mode gets the invariance suite.
 
 Grey dilation and erosion are |SE| row passes of O(cells), each through
 a memo of one weight against the image's distinct levels; bounded passes
@@ -371,32 +375,33 @@ def random_image(grid: Grid, carrier: Carrier, rng: random.Random) -> GreyImage:
 # ---------------------------------------------------------------- kernel
 
 def kernel_of_structuring(se: StructuringElement, grid: Grid) -> Kernel:
-    """The translate kernel k(x, y) = A(y - x) over a torus grid.
+    """The translate kernel k(x, y) = A(y - x): row x holds A(a) at the
+    cell `grid.shift(x, a)`, for each offset a of the support.
 
-    Raw offsets are folded onto the torus first; two support offsets
-    meeting at the same canonical cell would make the kernel ambiguous
-    and are refused.
+    Its right-hand transforms `apply_direct_right`/`apply_inverse_right`
+    are `dilate_grey`/`erode_grey` on both grid modes.  A bounded grid
+    drops the targets that leave it, which gives the clipped kernel.  On
+    a torus two support offsets meeting at the same cell would make the
+    kernel ambiguous and are refused.
     """
-    if grid.mode != WRAP:
-        raise ValueError("the translate kernel needs the torus group; use wrap mode")
     q = se.carrier
-    canon = {}
-    for off, v in se.entries:
-        c = grid.canonical(off)
-        if c in canon:
-            raise ValueError(f"offsets collide on the torus at {c}")
-        canon[c] = v
-    w, h = grid.width, grid.height
-    # row x is the row A(y) of x = (0, 0) rotated by x along both axes
-    base = [[canon.get((yx, yy), q.bot) for yx in range(w)] for yy in range(h)]
-    turned = [[r[w - xx :] + r[: w - xx] for r in base] for xx in range(w)]
-    rows = tuple(
-        tuple(chain.from_iterable(t[h - xy :] + t[: h - xy]))
-        for xy in range(h)
-        for t in turned
-    )
-    cells = grid.cells()
-    return Kernel._trusted(q, cells, cells, rows)
+    if grid.mode == WRAP:
+        seen = set()
+        for off, _ in se.entries:
+            c = grid.canonical(off)
+            if c in seen:
+                raise ValueError(f"offsets collide on the torus at {c}")
+            seen.add(c)
+    cells, w, bot = grid.cells(), grid.width, q.bot
+    rows = []
+    for x in cells:
+        row = [bot] * grid.size
+        for a, v in se.entries:
+            y = grid.shift(x, a)
+            if y is not None:
+                row[y[1] * w + y[0]] = v
+        rows.append(tuple(row))
+    return Kernel._trusted(q, cells, cells, tuple(rows))
 
 
 # ------------------------------------------------------------------ I/O

@@ -387,11 +387,6 @@ def parse_monoid(text: str) -> Monoid:
     return Monoid(rows)
 
 
-def load_monoid(path) -> Monoid:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_monoid(fh.read())
-
-
 @dataclass(frozen=True)
 class PowersetMonoidQuantale(Carrier):
     """Subsets of a finite monoid, bitmask encoded, under complex product.
@@ -466,17 +461,6 @@ class PowersetMonoidQuantale(Carrier):
 
     def size(self) -> int:
         return 1 << self.monoid.size
-
-    def mask(self, members: Iterable[int]) -> int:
-        out = 0
-        for m in members:
-            if not 0 <= m < self.monoid.size:
-                raise CarrierMismatchError(f"no monoid element {m}")
-            out |= 1 << m
-        return out
-
-    def members(self, x: int) -> frozenset[int]:
-        return frozenset(self._bits(x))
 
 
 def residual_by_search(carrier: Carrier, x, z, side: str = "left", candidates=None):

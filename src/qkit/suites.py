@@ -33,7 +33,9 @@ from qkit.qmodule import (
 )
 from qkit.transform import (
     apply_direct,
+    apply_direct_right,
     apply_inverse,
+    apply_inverse_right,
     classify_coder,
     random_kernel,
     random_strong_kernel,
@@ -261,7 +263,8 @@ def _random_se(q, rng, span=1):
 
 
 def _grey_forms(q, rng) -> LawReport:
-    """Membership and kernel forms agree on random grey images."""
+    """Membership form and the right-hand transforms of the translate
+    kernel agree on random grey images."""
     report = LawReport("morphology.grey-kernel-form")
     g = Grid(5, 4)
     cells = g.cells()
@@ -273,8 +276,8 @@ def _grey_forms(q, rng) -> LawReport:
             vec = ModuleVector(q, cells, img.values)
             report.checked += 1
             if not (
-                apply_direct(kern, vec).values == dilate_grey(img, se).values
-                and apply_inverse(kern, vec).values == erode_grey(img, se).values
+                apply_direct_right(kern, vec).values == dilate_grey(img, se).values
+                and apply_inverse_right(kern, vec).values == erode_grey(img, se).values
             ):
                 report.record("morphology.grey-kernel-form", (se.entries,))
     return report

@@ -123,11 +123,6 @@ class FiniteLattice:
         """Boolean lattice of bitmask subsets of n_atoms generators."""
         return cls.from_relation(range(1 << n_atoms), lambda a, b: a & ~b == 0)
 
-    @classmethod
-    def from_carrier(cls, carrier) -> "FiniteLattice":
-        """Order reduct of a finite residuated carrier."""
-        return cls.from_relation(tuple(carrier.elements()), carrier.leq)
-
     # --- label-level API -------------------------------------------------
     @cached_property
     def _pos(self) -> dict:
@@ -225,14 +220,6 @@ class TabulatedMap:
             inner.source, self.target, tuple(self(v) for v in inner.table)
         )
 
-    def is_monotone(self) -> bool:
-        src = self.source
-        return all(
-            self.target.leq(self(x), self(y))
-            for x in src.labels
-            for y in src.upset(x)
-        )
-
     def is_join_preserving(self) -> tuple[bool, tuple]:
         """Check empty and binary joins; returns (ok, witness family)."""
         if self(self.source.bot) != self.target.bot:
@@ -295,9 +282,6 @@ class ClosureOperator:
     @cached_property
     def image(self) -> frozenset:
         return frozenset(self.table)
-
-    def as_map(self) -> TabulatedMap:
-        return TabulatedMap(self.lattice, self.lattice, self.table)
 
 
 def closure_from_pair(f: TabulatedMap, g: TabulatedMap) -> ClosureOperator:

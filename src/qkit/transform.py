@@ -6,9 +6,19 @@ A kernel p over X x Y induces the adjoint pair
     inverse: (L g)(x) = meet_y g(y) / p(x, y)
 
 with H f <= g  iff  f <= L g.  H is a module hom, L its residual,
-L . H a nucleus on Q^X.  Kernels with a distinguished embedding
-e: Y -> X classify into coder grades; strong coders make H . L the
-identity on Q^Y, which is what exact reconstruction rests on.
+L . H a nucleus on Q^X.  The right-module pair
+
+    direct:  (H f)(y) = join_x p(x, y) . f(x)
+    inverse: (L g)(x) = meet_y p(x, y) \\ g(y)
+
+is adjoint in the same way and differs on non-commutative carriers;
+grey dilation and erosion are this pair on the translate kernel (see
+`qkit.morphology`).  Both pairs run one loop per direction, which
+takes the product or residual as an argument.
+
+Kernels with a distinguished embedding e: Y -> X classify into coder
+grades; strong coders make H . L the identity on Q^Y, which is what
+exact reconstruction rests on.
 
 Bottom entries can never influence a join (they multiply to bottom)
 nor a meet (they divide to top), so both applications skip them; this
@@ -163,19 +173,17 @@ class Kernel:
 
     @cached_property
     def _direct_cols(self) -> tuple:
-        """Per y: the (x position, value) pairs with a non-bottom value."""
-        bot = self.carrier.bot
-        cols = []
-        for j in range(len(self.y_index)):
-            cols.append(
-                tuple(
-                    (i, row[j]) for i, row in enumerate(self.rows) if row[j] != bot
-                )
-            )
-        return tuple(cols)
+        """Per y: the (x position, value) pairs with a non-bottom value,
+        in x order; the sparse transpose of `_inverse_rows`."""
+        cols = [[] for _ in self.y_index]
+        for i, row in enumerate(self._inverse_rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return tuple(map(tuple, cols))
 
     @cached_property
     def _inverse_rows(self) -> tuple:
+        """Per x: the (y position, value) pairs with a non-bottom value."""
         bot = self.carrier.bot
         return tuple(
             tuple((j, v) for j, v in enumerate(row) if v != bot) for row in self.rows
@@ -214,34 +222,58 @@ class Kernel:
             raise CarrierMismatchError("kernels are not parallel")
 
 
-def apply_direct(p: Kernel, f: ModuleVector) -> ModuleVector:
-    """(H f)(y) = join_x f(x) . p(x, y); a left-module hom Q^X -> Q^Y."""
+def _direct(p: Kernel, f: ModuleVector, product) -> ModuleVector:
+    """(H f)(y) = join_x product(f(x), p(x, y)), over the non-bottom
+    entries of each column."""
     if f.carrier != p.carrier or f.index != p.x_index:
         raise CarrierMismatchError("vector does not match the kernel's X side")
-    mul, join2, bot = p.carrier.mul, p.carrier.join2, p.carrier.bot
+    join2, bot = p.carrier.join2, p.carrier.bot
     fv = f.values
     out = []
     for col in p._direct_cols:
         acc = bot
         for i, v in col:
-            acc = join2(acc, mul(fv[i], v))
+            acc = join2(acc, product(fv[i], v))
         out.append(acc)
     return ModuleVector._trusted(p.carrier, p.y_index, tuple(out))
 
 
-def apply_inverse(p: Kernel, g: ModuleVector) -> ModuleVector:
-    """(L g)(x) = meet_y g(y) / p(x, y); the upper adjoint of the direct map."""
+def _inverse(p: Kernel, g: ModuleVector, residual) -> ModuleVector:
+    """(L g)(x) = meet_y residual(g(y), p(x, y)), over the non-bottom
+    entries of each row."""
     if g.carrier != p.carrier or g.index != p.y_index:
         raise CarrierMismatchError("vector does not match the kernel's Y side")
-    rres, meet2, top = p.carrier.rres, p.carrier.meet2, p.carrier.top
+    meet2, top = p.carrier.meet2, p.carrier.top
     gv = g.values
     out = []
     for row in p._inverse_rows:
         acc = top
         for j, v in row:
-            acc = meet2(acc, rres(gv[j], v))
+            acc = meet2(acc, residual(gv[j], v))
         out.append(acc)
     return ModuleVector._trusted(p.carrier, p.x_index, tuple(out))
+
+
+def apply_direct(p: Kernel, f: ModuleVector) -> ModuleVector:
+    """(H f)(y) = join_x f(x) . p(x, y); a left-module hom Q^X -> Q^Y."""
+    return _direct(p, f, p.carrier.mul)
+
+
+def apply_inverse(p: Kernel, g: ModuleVector) -> ModuleVector:
+    """(L g)(x) = meet_y g(y) / p(x, y); the upper adjoint of the direct map."""
+    return _inverse(p, g, p.carrier.rres)
+
+
+def apply_direct_right(p: Kernel, f: ModuleVector) -> ModuleVector:
+    """Right-module variant: (H f)(y) = join_x p(x, y) . f(x)."""
+    mul = p.carrier.mul
+    return _direct(p, f, lambda a, v: mul(v, a))
+
+
+def apply_inverse_right(p: Kernel, g: ModuleVector) -> ModuleVector:
+    """Right-module variant: (L g)(x) = meet_y p(x, y) \\ g(y)."""
+    lres = p.carrier.lres
+    return _inverse(p, g, lambda z, v: lres(v, z))
 
 
 def _bands(np, bands):
@@ -294,36 +326,6 @@ def _array_inverse(p: Kernel, a):
         else:
             np.minimum(acc, np.where(v <= z, d, z), out=acc)
     return acc
-
-
-def apply_direct_right(p: Kernel, f: ModuleVector) -> ModuleVector:
-    """Right-module variant: (H f)(y) = join_x p(x, y) . f(x)."""
-    if f.carrier != p.carrier or f.index != p.x_index:
-        raise CarrierMismatchError("vector does not match the kernel's X side")
-    mul, join2, bot = p.carrier.mul, p.carrier.join2, p.carrier.bot
-    fv = f.values
-    out = []
-    for col in p._direct_cols:
-        acc = bot
-        for i, v in col:
-            acc = join2(acc, mul(v, fv[i]))
-        out.append(acc)
-    return ModuleVector._trusted(p.carrier, p.y_index, tuple(out))
-
-
-def apply_inverse_right(p: Kernel, g: ModuleVector) -> ModuleVector:
-    """Right-module variant: (L g)(x) = meet_y p(x, y) \\ g(y)."""
-    if g.carrier != p.carrier or g.index != p.y_index:
-        raise CarrierMismatchError("vector does not match the kernel's Y side")
-    lres, meet2, top = p.carrier.lres, p.carrier.meet2, p.carrier.top
-    gv = g.values
-    out = []
-    for row in p._inverse_rows:
-        acc = top
-        for j, v in row:
-            acc = meet2(acc, lres(v, gv[j]))
-        out.append(acc)
-    return ModuleVector._trusted(p.carrier, p.x_index, tuple(out))
 
 
 class KernelHom:

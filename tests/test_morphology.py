@@ -44,9 +44,16 @@ from qkit.quantale import (
     GODEL,
     LUKASIEWICZ,
     PRODUCT,
+    Monoid,
+    PowersetMonoidQuantale,
 )
 from qkit.qmodule import FreeModule, ModuleVector, Nucleus, nucleus_check
-from qkit.transform import apply_direct, apply_inverse
+from qkit.transform import (
+    apply_direct,
+    apply_direct_right,
+    apply_inverse,
+    apply_inverse_right,
+)
 
 
 def ref_translate_image(image, offset):
@@ -295,6 +302,41 @@ def test_grey_kernel_form_agreement():
             assert apply_inverse(kern, vec).values == erode_grey(img, se).values
 
 
+KERNEL_FORM_CARRIERS = (
+    ChainQuantale(4, LUKASIEWICZ),
+    ChainQuantale(6, GODEL),
+    ChainQuantale(1, LUKASIEWICZ),
+    PowersetMonoidQuantale(Monoid.symmetric(3)),
+)
+
+
+@pytest.mark.parametrize("mode", (WRAP, BOUNDED))
+@pytest.mark.parametrize("q", KERNEL_FORM_CARRIERS, ids=("luk4", "godel6", "luk1", "S3"))
+def test_grey_is_the_right_hand_kernel_transform(q, mode):
+    """Dilation and erosion are the right-hand H and L of the translate
+    kernel on both grid modes, commutative or not; on a bounded grid the
+    kernel is clipped and the skip rule of erosion is its L."""
+    rng = random.Random(61)
+    els = tuple(q.elements())[1:]
+    checked = 0
+    while checked < 30:
+        g = Grid(rng.randint(1, 6), rng.randint(1, 6), mode=mode)
+        se = StructuringElement.from_dict(q, {
+            (rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice(els)
+            for _ in range(rng.randint(1, 4))
+        })
+        if mode == WRAP and len({g.canonical(a) for a in se.support()}) < len(se.entries):
+            with pytest.raises(ValueError, match="collide"):
+                kernel_of_structuring(se, g)
+            continue
+        kern = kernel_of_structuring(se, g)
+        img = random_image(g, q, rng)
+        vec = ModuleVector(q, g.cells(), img.values)
+        assert apply_direct_right(kern, vec).values == dilate_grey(img, se).values
+        assert apply_inverse_right(kern, vec).values == erode_grey(img, se).values
+        checked += 1
+
+
 def test_grey_opening_closing_laws():
     q = ChainQuantale(4, LUKASIEWICZ)
     rng = random.Random(55)
@@ -387,8 +429,12 @@ def test_kernel_of_structuring_details():
     for i in range(1, 5):
         rotated = tuple(kern.rows[i - 1][(j - 1) % 5] for j in range(5))
         assert kern.rows[i] == rotated
-    with pytest.raises(ValueError):
-        kernel_of_structuring(se, Grid(5, 1, mode=BOUNDED))
+    # the bounded kernel is the clipped one: the last cell's step right
+    # leaves the grid instead of wrapping to the first
+    clipped = kernel_of_structuring(se, Grid(5, 1, mode=BOUNDED))
+    for i, row in enumerate(clipped.rows):
+        assert row == tuple(q.unit if j in (i, i + 1) else 0 for j in range(5))
+    assert clipped.rows[:4] == kern.rows[:4] and kern.rows[4][0] == q.unit
     colliding = StructuringElement.flat(q, ((0, 0), (5, 0)))
     with pytest.raises(ValueError):
         kernel_of_structuring(colliding, g)

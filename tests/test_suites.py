@@ -67,6 +67,16 @@ def test_morphology_suite_with_float_carrier_falls_back_to_chain():
     assert all(r.ok for r in reports)
 
 
+@pytest.mark.parametrize("monoid", (Monoid.cyclic(3), Monoid.symmetric(3)), ids=("C3", "S3"))
+def test_morphology_suite_on_powersets(monoid):
+    # on the non-commutative S3 powerset the left and right transforms
+    # differ; grey morphology is the right-hand pair
+    reports = morphology_suite(PowersetMonoidQuantale(monoid), rng=random.Random(0))
+    assert len(reports) == 5
+    for report in reports:
+        assert report.ok and report.checked > 0, report.summary()
+
+
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["algebra"])

@@ -10,10 +10,12 @@ import itertools
 import os
 import random
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkit.fuzzy import GridAlignmentWarning, luk_kernel
 from qkit.morphology import (
     Grid,
     GreyImage,
@@ -156,6 +158,15 @@ def test_trusted_results_revalidate(q, data):
         ]
     for result in results:
         _revalidate(result)
+
+
+@pytest.mark.parametrize("q", (None, FloatUnitQuantale(LUKASIEWICZ)), ids=repr)
+@pytest.mark.parametrize("n, l", ((2, 2), (3, 5), (4, 10), (61, 1021), (3, 6), (4, 11)))
+def test_luk_kernel_revalidates(q, n, l):
+    # (3, 6) and (4, 11) miss the peaks and carry an explicit embedding
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridAlignmentWarning)
+        _revalidate(luk_kernel(n, l, q))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
