@@ -1,42 +1,40 @@
 """Command line front door: compress, reconstruct, morph, laws, metrics.
 
-Compression is the separable scheme: a one-dimensional transform over
-every row, then over every column of the row coefficients.  All pixel
-arithmetic runs on an integer chain whose denominator is the least
-common multiple of the image maxval, the side lengths minus one, and
-n - 1, so normalization g/maxval and every basis value are exact
-levels.  Reconstruction therefore dominates the input exactly and
-recompressing a reconstruction reproduces the coefficients bit for
-bit, which is what the round-trip tests pin down.  Both methods, the
-triangular basis and a partition file, only choose the kernel per axis;
-the separable transform itself is one code path.
+The CLI turns pixels into an element of Q^X and back, runs a transform
+and does file I/O.  Pixel p is the level `carrier.ratio(p, maxval)`;
+level v is the pixel nearest `carrier.fraction(v) * maxval`, halves
+rounding up, and lies off the pixel grid when that product is not an
+integer, which only a chain (non-zero denominator) can tell.
 
-On a chain whose denominator d satisfies 511 d <= 2**63 - 1, and when
-numpy imports, that path runs on whole int64 arrays: pixel scaling,
-both transform stages and the rounding back to pixels, with every
-intermediate at most 511 d (see `_INT64_D_MAX`).  Otherwise (the float
-carrier, d past that bound, or no numpy) it applies `apply_direct`
-and `apply_inverse` to one `ModuleVector` per row and per column,
-which is also the reference the array path is tested against.  Both
-give the same bytes.  numpy is imported by the codec only.
+Compression is the separable scheme: a one-dimensional transform over
+every row, then over every column of the row coefficients.  By default
+it runs on the chain whose denominator is the least common multiple of
+the image maxval, the side lengths minus one and n - 1, so every pixel
+and basis value is an exact level: reconstruction dominates the input,
+and recompressing it reproduces the coefficients bit for bit.  Both
+methods, the triangular basis and a partition file, only choose the
+kernel per axis.  The transform applies `apply_direct`/`apply_inverse`
+to one `ModuleVector` per row and per column or, on a chain small
+enough for int64 when numpy imports, runs on whole arrays in
+`qkit._int64`; both give the same bytes.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import math
-import os
 import random
 import sys
 import warnings
+from fractions import Fraction
 
+from qkit._int64 import _direct_pixels, _int64_numpy, _inverse_pixels
 from qkit.fuzzy import GridAlignmentWarning, load_partition, luk_kernel
 from qkit.morphology import (
     BOUNDED,
     WRAP,
     Grid,
     GreyImage,
-    StructuringElement,
     closing_grey,
     dilate_grey,
     erode_grey,
@@ -59,7 +57,7 @@ from qkit.quantale import (
     parse_integer,
 )
 from qkit.suites import SUITES, run_suites
-from qkit.transform import _array_direct, _array_inverse, apply_direct, apply_inverse
+from qkit.transform import apply_direct, apply_inverse
 
 COEFF_MAGIC = "qkit-coefficients v1"
 
@@ -75,75 +73,46 @@ def parse_carrier(spec: str, tnorm: str) -> Carrier:
     raise ValueError(f"unknown carrier {spec!r}, expected chain:<d> or float")
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("QKIT_SEED", "0"))
-
-
 # ------------------------------------------------------------ normalization
 
-def _pixel_scale(carrier: Carrier, maxval: int) -> int:
-    if carrier.d % maxval != 0:
-        raise ValueError(
-            f"chain denominator {carrier.d} is not a multiple of maxval {maxval}"
-        )
-    return carrier.d // maxval
+def _level_table(carrier: Carrier, maxval: int) -> tuple:
+    """The level of each pixel value 0..maxval; refused on a chain whose
+    denominator maxval does not divide."""
+    d = carrier.denominator
+    if d % maxval:
+        raise ValueError(f"chain denominator {d} is not a multiple of maxval {maxval}")
+    return tuple(carrier.ratio(p, maxval) for p in range(maxval + 1))
 
 
-def _levels_from_pixels(carrier: Carrier, pixels, maxval: int) -> tuple:
-    if isinstance(carrier, ChainQuantale):
-        s = _pixel_scale(carrier, maxval)
-        return tuple(p * s for p in pixels)
-    return tuple(p / maxval for p in pixels)
+def _pixels_from_levels(carrier: Carrier, levels, maxval: int) -> tuple:
+    """The nearest pixel value of each level, halves rounding up, within
+    0..maxval; computed once per distinct level."""
+    half = Fraction(1, 2)
+    pixel = {
+        v: min(maxval, max(0, math.floor(carrier.fraction(v) * maxval + half)))
+        for v in set(levels)
+    }
+    return tuple(map(pixel.__getitem__, levels))
 
 
-def _pixel_from_value(carrier: Carrier, v, maxval: int) -> int:
-    if isinstance(carrier, ChainQuantale):
-        d = carrier.d
-        return (2 * v * maxval + d) // (2 * d)
-    return min(maxval, max(0, math.floor(v * maxval + 0.5)))
+def _off_grid(carrier: Carrier, levels, maxval: int) -> bool:
+    """Whether some level falls strictly between two pixel values; only
+    a chain, whose denominator is non-zero, can tell."""
+    d = carrier.denominator
+    return d != 0 and any(v * maxval % d for v in set(levels))
 
 
 # ---------------------------------------------------------------- compress
-
-# On a chain of denominator d every value the codec handles is a level
-# in [0, d].  A pixel p <= maxval scales to p * (d / maxval) <= d, a
-# Lukasiewicz product x + v - d and a residual d - v + z stay within
-# [-d, 2d], and rounding a level v back to a pixel takes
-# 2 v maxval + d <= 2 d 255 + d = 511 d, the largest of them.  So for
-# maxval <= 255 every intermediate fits int64 iff 511 d <= 2**63 - 1.
-_INT64_D_MAX = (2**63 - 1) // 511
-
-
-def _int64_numpy(carrier: Carrier, maxval: int):
-    """numpy, when the codec over this carrier may run on int64 arrays;
-    otherwise None, and the codec runs one ModuleVector at a time."""
-    if not (
-        isinstance(carrier, ChainQuantale)
-        and carrier.d <= _INT64_D_MAX
-        and 1 <= maxval <= 255
-    ):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
 
 def _separable_direct(kern_w, kern_h, pixels, maxval: int) -> tuple:
     """Pixels to levels, then rows then columns; returns the coefficient
     matrix as row tuples."""
     q, width = kern_w.carrier, len(kern_w.x_index)
+    table = _level_table(q, maxval)
     np = _int64_numpy(q, maxval)
-    if np is not None:
-        s = _pixel_scale(q, maxval)
-        levels = np.array(pixels, dtype=np.int64).reshape(-1, width)
-        levels *= s
-        rows = _array_direct(kern_w, levels)
-        return tuple(map(tuple, _array_direct(kern_h, rows.T).T.tolist()))
-    levels = _levels_from_pixels(q, pixels, maxval)
+    if np is not None:  # the level of pixel 1 is the chain's scale d / maxval
+        return _direct_pixels(np, kern_w, kern_h, pixels, table[1])
+    levels = tuple(map(table.__getitem__, pixels))
     vector = ModuleVector._trusted  # levels and transform results are elements
     row_stage = [
         apply_direct(kern_w, vector(q, kern_w.x_index, levels[i : i + width])).values
@@ -167,15 +136,7 @@ def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
     q.require(*itertools.chain.from_iterable(zip(*coeffs)))
     np = _int64_numpy(q, maxval)
     if np is not None:
-        cols = _array_inverse(kern_h, np.array(coeffs, dtype=np.int64).T)
-        levels = _array_inverse(kern_w, cols.T)
-        # in place, so that no further image-sized array is allocated
-        pixels = levels * (2 * maxval)
-        pixels += q.d
-        pixels //= 2 * q.d
-        levels *= maxval
-        levels %= q.d
-        return pixels.ravel().tolist(), bool(levels.any())
+        return _inverse_pixels(np, kern_w, kern_h, coeffs, maxval)
     vector = ModuleVector._trusted
     cols = [
         apply_inverse(kern_h, vector(q, kern_h.y_index, col)).values
@@ -186,8 +147,7 @@ def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
         for row in zip(*cols)
         for v in apply_inverse(kern_w, vector(q, kern_w.y_index, row)).values
     )
-    off_grid = isinstance(q, ChainQuantale) and any(v * maxval % q.d for v in levels)
-    return [_pixel_from_value(q, v, maxval) for v in levels], off_grid
+    return list(_pixels_from_levels(q, levels, maxval)), _off_grid(q, levels, maxval)
 
 
 def _axis_kernels(method, carrier, width, height, n, partition):
@@ -324,7 +284,7 @@ def cmd_morph(args) -> int:
     carrier = _carrier(args, math.lcm(img.maxval, structuring_denominator(args.se)))
     se = load_structuring(args.se, carrier)
     grid = Grid(img.width, img.height, mode=args.mode)
-    levels = _levels_from_pixels(carrier, img.pixels, img.maxval)
+    levels = tuple(map(_level_table(carrier, img.maxval).__getitem__, img.pixels))
     # the reader checked every pixel, so every level is an element
     grey = GreyImage._trusted(grid, carrier, levels)
     ops = {
@@ -341,7 +301,7 @@ def cmd_morph(args) -> int:
         print(f"adjunction: {'pass' if ok else 'fail'}")
         if not ok:
             return 1
-    pixels = tuple(_pixel_from_value(carrier, v, img.maxval) for v in result.values)
+    pixels = _pixels_from_levels(carrier, result.values, img.maxval)
     image = PgmImage._trusted(img.width, img.height, img.maxval, pixels)
     write_pgm(args.out, image, binary=args.binary)
     return 0
@@ -352,7 +312,7 @@ def cmd_morph(args) -> int:
 def cmd_laws(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     carrier = parse_carrier(args.carrier, args.tnorm) if args.carrier else None
-    rng = random.Random(_seed_from(args))
+    rng = random.Random(args.seed)
     reports = run_suites(names, carrier=carrier, rng=rng)
     failed = 0
     for report in reports:
@@ -395,14 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_carrier(p):
         p.add_argument("--carrier", help="chain:<d> or float (default: exact chain from the image)")
         p.add_argument(
             "--tnorm",
             default=LUKASIEWICZ,
             choices=(LUKASIEWICZ, GODEL, PRODUCT),
         )
-        p.add_argument("--seed", type=int, default=None, help="fixes randomized suites (env: QKIT_SEED)")
 
     c = sub.add_parser("compress", help="PGM to coefficients file")
     c.add_argument("image")
@@ -410,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--method", default="luk", choices=("luk", "partition-file"))
     c.add_argument("--n", type=int, default=None, help="components per axis for --method luk")
     c.add_argument("--partition", default=None, help="partition file for --method partition-file")
-    add_common(c)
+    add_carrier(c)
     c.set_defaults(func=cmd_compress)
 
     r = sub.add_parser("reconstruct", help="coefficients file to PGM")
@@ -418,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("out")
     r.add_argument("--partition", default=None, help="partition file when the coefficients used one")
     r.add_argument("--binary", action="store_true", help="write P5 instead of P2")
-    add_common(r)
     r.set_defaults(func=cmd_reconstruct)
 
     m = sub.add_parser("morph", help="dilate/erode/open/close a PGM")
@@ -429,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mode", default=WRAP, choices=(WRAP, BOUNDED))
     m.add_argument("--check-adjunction", action="store_true")
     m.add_argument("--binary", action="store_true", help="write P5 instead of P2")
-    add_common(m)
+    add_carrier(m)
     m.set_defaults(func=cmd_morph)
 
     l = sub.add_parser("laws", help="run law suites, exit 0 iff all pass")
@@ -439,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=tuple(SUITES) + ("all",),
     )
-    add_common(l)
+    add_carrier(l)
+    l.add_argument("--seed", type=int, default=0, help="fixes randomized suites")
     l.set_defaults(func=cmd_laws)
 
     t = sub.add_parser("metrics", help="error metrics between two PGMs")

@@ -161,7 +161,8 @@ class FuzzyPartition:
     @cached_property
     def _kernel(self) -> Kernel:
         rows = tuple(zip(*self.table))
-        return Kernel(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
+        # __post_init__ checked every entry of the table
+        return Kernel._trusted(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
 
     def kernel(self) -> Kernel:
         """Node-by-component kernel whose direct transform is f_up."""

@@ -37,6 +37,13 @@ from qkit.quantale import (
     parse_integer,
 )
 
+# Sizes up to which the law checks below run exhaustively: over every
+# element of a base, or (_SINGLE_CAP) every scalar with every element
+_INTERVAL_VERIFY_CAP = 700
+_MODULE_EXHAUSTIVE_CAP = 10_000
+_NUCLEUS_EXHAUSTIVE_CAP = 512
+_SINGLE_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class ModuleVector:
@@ -343,7 +350,7 @@ class IntervalModule:
     otherwise.
     """
 
-    def __init__(self, base, floor, verify_cap: int = 700):
+    def __init__(self, base, floor):
         self.base = base
         self.floor = floor
         self.carrier = base.carrier
@@ -351,7 +358,7 @@ class IntervalModule:
             size = base.size()
         except (NotFiniteError, AttributeError):
             size = None
-        if size is not None and size <= verify_cap:
+        if size is not None and size <= _INTERVAL_VERIFY_CAP:
             els = [m for m in base.elements() if base.leq(floor, m)]
             scalars = tuple(self.carrier.elements())
             rep = check_module_laws_on(self, els, scalars)
@@ -630,13 +637,12 @@ def check_module_laws_on(
     scalars: Sequence,
     pair_cap: int = 60_000,
     triple_cap: int = 150_000,
-    single_cap: int = 100_000,
 ) -> LawReport:
     """Action, distributivity and division laws over the given samples.
 
     Small element sets are swept exhaustively; past the caps the pair
     and triple loops fall back to rotating windows through the sample,
-    and scalar-by-element products past single_cap pair each element
+    and scalar-by-element products past _SINGLE_CAP pair each element
     with a rotating scalar instead.  Either way the instance count
     stays linear in the sample while every sampled element is used.
     """
@@ -690,7 +696,7 @@ def check_module_laws_on(
             rep.record("action.bottom-vector", (a,))
 
     spairs = tuple(itertools.product(scalars, repeat=2))
-    if len(spairs) * count <= single_cap:
+    if len(spairs) * count <= _SINGLE_CAP:
         two_scalar = ((a, b, m) for a, b in spairs for m in elements)
     else:
         two_scalar = (
@@ -708,7 +714,7 @@ def check_module_laws_on(
             rep.record("division.nesting", (a, b, m))
 
     pair_volume = count * count if count * count <= pair_cap else 4 * count
-    if len(scalars) * pair_volume <= single_cap:
+    if len(scalars) * pair_volume <= _SINGLE_CAP:
         scalar_pairs = ((a, m, n) for a in scalars for m, n in pairs())
     else:
         scalar_pairs = (
@@ -739,7 +745,7 @@ def check_module_laws_on(
                 if not leq(star(a, m), star(a, n)):
                     rep.record("action.monotone", (a, m, n))
 
-    if len(scalars) * count <= single_cap:
+    if len(scalars) * count <= _SINGLE_CAP:
         one_scalar = ((a, m) for a in scalars for m in elements)
     else:
         one_scalar = ((scalars[i % len(scalars)], m) for i, m in enumerate(elements))
@@ -764,10 +770,8 @@ def check_module_laws(
     index: Sequence,
     rng: random.Random | None = None,
     n_samples: int = 0,
-    exhaustive_cap: int = 10_000,
     pair_cap: int = 60_000,
     triple_cap: int = 150_000,
-    single_cap: int = 100_000,
 ) -> LawReport:
     """Free-module law suite: exhaustive when Q^X is small, sampled otherwise."""
     module = FreeModule(carrier, index)
@@ -775,9 +779,9 @@ def check_module_laws(
         size = module.size()
         scalars = tuple(carrier.elements())
     else:
-        size = exhaustive_cap + 1
+        size = _MODULE_EXHAUSTIVE_CAP + 1
         scalars = tuple(carrier.grid(10))
-    if size <= exhaustive_cap and n_samples == 0:
+    if size <= _MODULE_EXHAUSTIVE_CAP and n_samples == 0:
         elements = tuple(module.elements())
     else:
         if rng is None:
@@ -787,12 +791,7 @@ def check_module_laws(
         if len(scalars) > 12:
             scalars = tuple(rng.choice(scalars) for _ in range(12))
     return check_module_laws_on(
-        module,
-        elements,
-        scalars,
-        pair_cap=pair_cap,
-        triple_cap=triple_cap,
-        single_cap=single_cap,
+        module, elements, scalars, pair_cap=pair_cap, triple_cap=triple_cap
     )
 
 
@@ -802,23 +801,20 @@ def nucleus_check(
     scalars: Sequence | None = None,
     rng: random.Random | None = None,
     n_samples: int = 40,
-    exhaustive_cap: int = 512,
 ) -> LawReport:
     """Closure axioms plus action compatibility and its consequences."""
     module = gamma.module
     if elements is None:
-        size = None
+        base = module.base if hasattr(module, "base") else module
         try:
-            size = module.base.size() if hasattr(module, "base") else module.size()
+            size = base.size()
         except (NotFiniteError, AttributeError):
-            pass
-        if size is not None and size <= exhaustive_cap:
-            base = module.base if hasattr(module, "base") else module
+            size = None
+        if size is not None and size <= _NUCLEUS_EXHAUSTIVE_CAP:
             elements = tuple(base.elements())
         else:
             if rng is None:
                 raise ValueError("sampled nucleus check needs an rng")
-            base = module.base if hasattr(module, "base") else module
             elements = tuple(
                 random_vector(base.carrier, base.index, rng) for _ in range(n_samples)
             )

@@ -23,9 +23,8 @@ exact reconstruction rests on.
 Bottom entries can never influence a join (they multiply to bottom)
 nor a meet (they divide to top), so both applications skip them; this
 keeps grid-sized kernels with small support cheap.  On an integer
-chain, the private `_array_direct`/`_array_inverse` apply the same
-pair to every row of an int64 array at once (numpy, imported only
-there); the CLI codec uses them.
+chain the CLI codec applies the same pair to whole int64 arrays, in
+the private `qkit._int64`, the one module that imports numpy.
 
 Values are checked where they enter: the public `Kernel` and
 `ModuleVector` constructors, `load_kernel`, and the scalar handed to
@@ -274,58 +273,6 @@ def apply_inverse_right(p: Kernel, g: ModuleVector) -> ModuleVector:
     """Right-module variant: (L g)(x) = meet_y p(x, y) \\ g(y)."""
     lres = p.carrier.lres
     return _inverse(p, g, lambda z, v: lres(v, z))
-
-
-def _bands(np, bands):
-    """Sparse (position, value) bands of a chain kernel as equal-width
-    index and value arrays; short bands are padded with bottom entries
-    (level 0) at position 0, which change no join (direct) and no meet
-    (inverse)."""
-    width = max(map(len, bands), default=0)
-    idx = np.zeros((len(bands), width), dtype=np.intp)
-    val = np.zeros((len(bands), width), dtype=np.int64)
-    for r, band in enumerate(bands):
-        if band:
-            idx[r, : len(band)], val[r, : len(band)] = zip(*band)
-    return idx, val
-
-
-def _array_direct(p: Kernel, a):
-    """apply_direct on every row of the int64 array a (one vector per
-    row, one column per x); p is over a ChainQuantale.  Every
-    intermediate stays within [-d, 2d]."""
-    import numpy as np
-
-    d = p.carrier.d
-    idx, val = _bands(np, p._direct_cols)
-    acc = np.zeros((a.shape[0], len(p.y_index)), dtype=np.int64)  # bot
-    for k in range(idx.shape[1]):
-        x, v = a[:, idx[:, k]], val[:, k]
-        if p.carrier.tnorm == LUKASIEWICZ:
-            # starting from 0, this is max(0, max_i(x_i + v_i) - d)
-            np.maximum(acc, x + v - d, out=acc)
-        else:
-            np.maximum(acc, np.minimum(x, v), out=acc)
-    return acc
-
-
-def _array_inverse(p: Kernel, a):
-    """apply_inverse on every row of the int64 array a (one vector per
-    row, one column per y); p is over a ChainQuantale.  Every
-    intermediate stays within [0, 2d]."""
-    import numpy as np
-
-    d = p.carrier.d
-    idx, val = _bands(np, p._inverse_rows)
-    acc = np.full((a.shape[0], len(p.x_index)), d, dtype=np.int64)  # top
-    for k in range(idx.shape[1]):
-        z, v = a[:, idx[:, k]], val[:, k]
-        if p.carrier.tnorm == LUKASIEWICZ:
-            # starting from d, this is min(d, d + min_j(z_j - v_j))
-            np.minimum(acc, d - v + z, out=acc)
-        else:
-            np.minimum(acc, np.where(v <= z, d, z), out=acc)
-    return acc
 
 
 class KernelHom:

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import math
 import os
 import random
 import subprocess
@@ -15,15 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkit._int64 import _INT64_D_MAX, _int64_numpy
 from qkit.cli import (
     build_parser,
     main,
     parse_carrier,
     read_coefficients,
-    _INT64_D_MAX,
-    _int64_numpy,
-    _pixel_from_value,
-    _seed_from,
+    _level_table,
+    _off_grid,
+    _pixels_from_levels,
     _separable_direct,
     _separable_inverse,
 )
@@ -35,7 +36,7 @@ from qkit.fuzzy import (
     save_partition,
 )
 from qkit.pgm import PgmImage, ramp_image, read_pgm, write_pgm
-from qkit.quantale import ChainQuantale, FloatUnitQuantale, GODEL, LUKASIEWICZ
+from qkit.quantale import ChainQuantale, FloatUnitQuantale, GODEL, LUKASIEWICZ, PRODUCT
 
 
 @pytest.fixture
@@ -477,24 +478,93 @@ def test_laws_exit_codes(capsys, monkeypatch):
     assert "FAIL" in out and "0/1 law families clean" in out
 
 
-def test_seed_sources(monkeypatch):
+def test_seed_sources():
     args = build_parser().parse_args(["laws", "--seed", "3"])
-    assert _seed_from(args) == 3
+    assert args.seed == 3
     args = build_parser().parse_args(["laws"])
-    monkeypatch.setenv("QKIT_SEED", "7")
-    assert _seed_from(args) == 7
-    monkeypatch.delenv("QKIT_SEED")
-    assert _seed_from(args) == 0
+    assert args.seed == 0
+
+
+def test_options_are_given_only_where_they_act(ramp55, tmp_path, capsys):
+    """reconstruct reads its carrier from the file, and only the law
+    suites are randomized; argparse refuses the options with code 2."""
+    coef, se = tmp_path / "c.coef", tmp_path / "se.txt"
+    assert main(["compress", str(ramp55), str(coef), "--n", "3"]) == 0
+    se.write_text("1 1 0 0\n1\n")
+    for argv in (
+        ["reconstruct", str(coef), str(tmp_path / "r.pgm"), "--carrier", "float"],
+        ["reconstruct", str(coef), str(tmp_path / "r.pgm"), "--tnorm", "godel"],
+        ["reconstruct", str(coef), str(tmp_path / "r.pgm"), "--seed", "1"],
+        ["compress", str(ramp55), str(coef), "--n", "3", "--seed", "1"],
+        ["morph", "dilate", str(ramp55), str(se), str(tmp_path / "m.pgm"), "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "r.pgm").exists() and not (tmp_path / "m.pgm").exists()
 
 
 def test_pixel_rounding_halves_up():
     q = ChainQuantale(8, LUKASIEWICZ)
-    assert _pixel_from_value(q, 8, 4) == 4
-    assert _pixel_from_value(q, 3, 4) == 2  # 1.5 rounds up
-    assert _pixel_from_value(q, 1, 4) == 1  # 0.5 rounds up
+    assert _pixels_from_levels(q, (8,), 4) == (4,)
+    assert _pixels_from_levels(q, (3,), 4) == (2,)  # 1.5 rounds up
+    assert _pixels_from_levels(q, (1,), 4) == (1,)  # 0.5 rounds up
     f = FloatUnitQuantale(LUKASIEWICZ)
-    assert _pixel_from_value(f, 1.0, 255) == 255
-    assert _pixel_from_value(f, 0.5, 4) == 2
+    assert _pixels_from_levels(f, (1.0,), 255) == (255,)
+    assert _pixels_from_levels(f, (0.5,), 4) == (2,)
+
+
+# The formulas the pixel bridge replaced, kept as references: a chain
+# scaled pixels by d // maxval and rounded a level v to
+# (2 v maxval + d) // 2d, flagging v off the pixel grid when
+# v maxval % d != 0; the float carrier divided by maxval, rounded
+# v maxval + 0.5 down within 0..maxval, and flagged nothing.
+def _old_level(q, p, maxval):
+    return p * (q.d // maxval) if isinstance(q, ChainQuantale) else p / maxval
+
+
+def _old_pixel(q, v, maxval):
+    if isinstance(q, ChainQuantale):
+        return (2 * v * maxval + q.d) // (2 * q.d)
+    return min(maxval, max(0, math.floor(v * maxval + 0.5)))
+
+
+def _old_off_grid(q, levels, maxval):
+    return isinstance(q, ChainQuantale) and any(v * maxval % q.d for v in levels)
+
+
+@st.composite
+def bridge_cases(draw):
+    maxval = draw(st.integers(1, 255))
+    if draw(st.booleans()):
+        tnorm = draw(st.sampled_from((LUKASIEWICZ, GODEL)))
+        d = draw(st.one_of(st.integers(1, 2**70), st.sampled_from((1, 255, 2**70, _INT64_D_MAX))))
+        if draw(st.booleans()):  # a chain whose levels include every pixel
+            d = maxval * max(1, d // maxval)
+        q = ChainQuantale(d, tnorm)
+        level = st.one_of(st.sampled_from((0, d)), st.integers(0, d))
+    else:
+        q = FloatUnitQuantale(draw(st.sampled_from((LUKASIEWICZ, PRODUCT))))
+        level = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+    return q, maxval, draw(st.lists(level, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bridge_cases())
+def test_pixel_bridge_matches_the_old_formulas(case):
+    q, maxval, levels = case
+    if q.denominator % maxval:
+        with pytest.raises(ValueError, match="is not a multiple of maxval"):
+            _level_table(q, maxval)
+    else:
+        table = _level_table(q, maxval)
+        assert list(table) == [_old_level(q, p, maxval) for p in range(maxval + 1)]
+        assert all(type(a) is type(_old_level(q, 1, maxval)) for a in table)
+    pixels = _pixels_from_levels(q, levels, maxval)
+    assert pixels == tuple(_old_pixel(q, v, maxval) for v in levels)
+    assert all(type(p) is int for p in pixels)
+    assert _off_grid(q, levels, maxval) is _old_off_grid(q, levels, maxval)
 
 
 # ------------------------------------------- int64 arrays vs one vector at a time

@@ -15,7 +15,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkit.fuzzy import GridAlignmentWarning, luk_kernel
+from qkit.fuzzy import FuzzyPartition, GridAlignmentWarning, luk_kernel, luk_partition
 from qkit.morphology import (
     Grid,
     GreyImage,
@@ -167,6 +167,30 @@ def test_luk_kernel_revalidates(q, n, l):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridAlignmentWarning)
         _revalidate(luk_kernel(n, l, q))
+
+
+@pytest.mark.parametrize(
+    "q",
+    (ChainQuantale(60, LUKASIEWICZ), ChainQuantale(60, GODEL), FloatUnitQuantale(LUKASIEWICZ)),
+    ids=repr,
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_partition_kernel_revalidates(q, data):
+    """A partition's kernel is built from the table its constructor
+    checked; drawn tables and the triangular basis both re-validate."""
+    l = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(1, min(4, l)))
+    table = [[data.draw(_values(q)) for _ in range(l)] for _ in range(n)]
+    for j in range(l):  # covering: some basis function sees node j
+        if all(q.eq(row[j], q.bot) for row in table):
+            table[j % n][j] = q.unit
+    for k, row in enumerate(table):  # density: basis function k sees a node
+        if all(q.eq(v, q.bot) for v in row):
+            row[k % l] = q.unit
+    # 60 is a multiple of every l - 1, so the basis values are levels
+    for part in (FuzzyPartition(q, table), luk_partition(n, l, q)):
+        assert _revalidate(part.kernel()).rows == tuple(zip(*part.table))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
