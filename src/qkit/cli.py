@@ -152,7 +152,8 @@ def _separable_inverse(kern_w, kern_h, coeffs, maxval: int) -> tuple:
 
 def _axis_kernels(method, carrier, width, height, n, partition):
     """Width and height kernels: the triangular basis with n components,
-    or the partition's kernel on both axes.  A misaligned grid is one
+    or the partition's kernel on both axes; a partition file given to
+    the triangular basis is refused.  A misaligned grid is one
     `warning:` line per distinct message, never Python warning text."""
     if method == "partition-file":
         if partition is None:
@@ -161,6 +162,8 @@ def _axis_kernels(method, carrier, width, height, n, partition):
         if part.l != width or part.l != height:
             raise ValueError(f"partition covers {part.l} nodes; image is {width}x{height}")
         return part.kernel(), part.kernel()
+    if partition is not None:
+        raise ValueError("--partition is read only by the partition-file method")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", GridAlignmentWarning)
         kern_w = luk_kernel(n, width, carrier)

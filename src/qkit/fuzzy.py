@@ -40,7 +40,7 @@ from qkit.quantale import (
     parse_integer,
 )
 from qkit.qmodule import ModuleVector
-from qkit.transform import Kernel, apply_direct, apply_inverse
+from qkit.transform import Kernel, _from_rows, apply_direct, apply_inverse
 
 
 class GridAlignmentWarning(UserWarning):
@@ -93,6 +93,9 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
     the nearest node and carries that as an explicit embedding; the
     diagonal then sits strictly below the unit, every coder grade
     fails, and a GridAlignmentWarning flags the construction.
+
+    The kernel is built from its bands, the at most two hats that cover
+    each node, never from the n l dense table.
     """
     if n < 2 or l < 2:
         raise ValueError("need n >= 2 and l >= 2")
@@ -114,9 +117,18 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
             GridAlignmentWarning,
             stacklevel=2,
         )
-    # every entry is carrier.ratio of a level p_k(j) L in 0..L
-    rows = tuple(zip(*_basis_grid(n, l, carrier)))
-    return Kernel._trusted(carrier, tuple(range(l)), y_index, rows, embedding)
+    # node j lies in the hats of k = N j // L and k + 1 only; every entry
+    # is carrier.ratio of a level p_k(j) L in 1..L
+    bands = []
+    for j in range(l):
+        k0 = N * j // L
+        band = []
+        for k in range(k0, min(k0 + 2, n)):
+            v = L - abs(N * j - k * L)
+            if v > 0:
+                band.append((k, carrier.ratio(v, L)))
+        bands.append(tuple(band))
+    return Kernel._trusted(carrier, tuple(range(l)), y_index, tuple(bands), embedding)
 
 
 @dataclass(frozen=True)
@@ -162,7 +174,7 @@ class FuzzyPartition:
     def _kernel(self) -> Kernel:
         rows = tuple(zip(*self.table))
         # __post_init__ checked every entry of the table
-        return Kernel._trusted(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
+        return _from_rows(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
 
     def kernel(self) -> Kernel:
         """Node-by-component kernel whose direct transform is f_up."""

@@ -378,10 +378,12 @@ def kernel_of_structuring(se: StructuringElement, grid: Grid) -> Kernel:
     """The translate kernel k(x, y) = A(y - x): row x holds A(a) at the
     cell `grid.shift(x, a)`, for each offset a of the support.
 
-    Its right-hand transforms `apply_direct_right`/`apply_inverse_right`
-    are `dilate_grey`/`erode_grey` on both grid modes.  A bounded grid
-    drops the targets that leave it, which gives the clipped kernel.  On
-    a torus two support offsets meeting at the same cell would make the
+    It is built from its bands, at most |support| entries per cell, never
+    from the |cells|^2 dense rows.  Its right-hand transforms
+    `apply_direct_right`/`apply_inverse_right` are
+    `dilate_grey`/`erode_grey` on both grid modes.  A bounded grid drops
+    the targets that leave it, which gives the clipped kernel.  On a
+    torus two support offsets meeting at the same cell would make the
     kernel ambiguous and are refused.
     """
     q = se.carrier
@@ -392,16 +394,18 @@ def kernel_of_structuring(se: StructuringElement, grid: Grid) -> Kernel:
             if c in seen:
                 raise ValueError(f"offsets collide on the torus at {c}")
             seen.add(c)
-    cells, w, bot = grid.cells(), grid.width, q.bot
-    rows = []
+    cells, w = grid.cells(), grid.width
+    bands = []
     for x in cells:
-        row = [bot] * grid.size
+        band = []
         for a, v in se.entries:
             y = grid.shift(x, a)
             if y is not None:
-                row[y[1] * w + y[0]] = v
-        rows.append(tuple(row))
-    return Kernel._trusted(q, cells, cells, tuple(rows))
+                band.append((y[1] * w + y[0], v))
+        # the targets of one cell are distinct, so only positions are compared
+        band.sort()
+        bands.append(tuple(band))
+    return Kernel._trusted(q, cells, cells, tuple(bands))
 
 
 # ------------------------------------------------------------------ I/O

@@ -168,8 +168,12 @@ class ChainQuantale(Carrier):
         return self.d if y <= z else z
 
     def lres(self, x: int, z: int) -> int:
-        """Largest y with mul(x, y) <= z; chains are commutative."""
-        return self.rres(z, x)
+        """Largest y with mul(x, y) <= z; chains are commutative, so this
+        is rres(z, x), written out to save a call."""
+        if self.tnorm == LUKASIEWICZ:
+            s = self.d - x + z
+            return s if s < self.d else self.d
+        return self.d if x <= z else z
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.d + 1))
@@ -262,7 +266,14 @@ class FloatUnitQuantale(Carrier):
         return 1.0 if y <= z else z / y
 
     def lres(self, x: float, z: float) -> float:
-        return self.rres(z, x)
+        """Largest y with mul(x, y) <= z; the t-norms are commutative, so
+        this is rres(z, x), written out to save a call."""
+        if self.tnorm == LUKASIEWICZ:
+            s = 1.0 - x + z
+            return s if s < 1.0 else 1.0
+        if self.tnorm == GODEL:
+            return 1.0 if x <= z else z
+        return 1.0 if x <= z else z / x
 
     def elements(self) -> Iterator[float]:
         raise NotFiniteError("the unit interval cannot be enumerated")

@@ -21,19 +21,25 @@ grades; strong coders make H . L the identity on Q^Y, which is what
 exact reconstruction rests on.
 
 Bottom entries can never influence a join (they multiply to bottom)
-nor a meet (they divide to top), so both applications skip them; this
-keeps grid-sized kernels with small support cheap.  On an integer
-chain the CLI codec applies the same pair to whole int64 arrays, in
-the private `qkit._int64`, the one module that imports numpy.
+nor a meet (they divide to top), so a kernel stores only its bands:
+per x, the (y position, value) pairs whose value is not bottom.  Both
+applications, the coder grades and `entry` walk the bands, so a kernel
+costs its support, not |X| |Y|: the translate kernel of a 3x3 element
+on an N-cell grid holds 9 N entries, the triangular basis on l nodes at
+most 2 l.  The dense `rows` are derived on first use, or kept when a
+kernel is built from them.  On an integer chain the CLI codec applies
+the same pair to whole int64 arrays, in the private `qkit._int64`, the
+one module that imports numpy.
 
 Values are checked where they enter: the public `Kernel` and
 `ModuleVector` constructors, `load_kernel`, and the scalar handed to
 `scale_left`.  Results of carrier operations on checked values are
 trusted: transforms, transposes, joins, the random and projective
 kernels, cores and extensions are built by the private `_trusted`
-constructors, which check nothing.  `kernel_of_hom` and
-`lift_through_projection` tabulate user-supplied maps, so their kernels
-are checked.
+constructors, which check nothing; a kernel from dense rows goes
+through `_from_rows`, which scans them into bands once.
+`kernel_of_hom` and `lift_through_projection` tabulate user-supplied
+maps, so their kernels are checked.
 """
 from __future__ import annotations
 
@@ -92,9 +98,14 @@ class CoderClass:
         return "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Kernel:
-    """Dense kernel over X x Y: rows[i][j] = p(x_i, y_j).
+    """Kernel over X x Y, stored as its non-bottom bands.
+
+    `_inverse_rows[i]` lists the (j, p(x_i, y_j)) pairs whose value is
+    not the carrier's bottom, in y order; every other entry is bottom.
+    `rows[i][j] = p(x_i, y_j)` is the dense form: the rows the kernel
+    was built from, or derived from the bands on first use.
 
     `embedding` lists, per y label, the x label it sits under; when
     omitted, a y label that also occurs in X embeds as itself.
@@ -103,19 +114,30 @@ class Kernel:
     carrier: Carrier
     x_index: tuple
     y_index: tuple
-    rows: tuple
+    _inverse_rows: tuple
     embedding: tuple | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.x_index):
+    def __init__(
+        self, carrier: Carrier, x_index: tuple, y_index: tuple, rows: tuple,
+        embedding: tuple | None = None,
+    ) -> None:
+        if len(rows) != len(x_index):
             raise ValueError("one row per x label required")
-        width = len(self.y_index)
-        for row in self.rows:
+        width = len(y_index)
+        for row in rows:
             if len(row) != width:
                 raise ValueError("row width must match the y index")
-            for v in row:
-                self.carrier.require(v)
+            carrier.require(*row)
+        self._store(carrier, x_index, y_index, _bands_of(rows, carrier.bot), embedding)
         self._check_embedding()
+        self.__dict__["rows"] = rows
+
+    def _store(self, carrier, x_index, y_index, bands, embedding) -> None:
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "x_index", x_index)
+        object.__setattr__(self, "y_index", y_index)
+        object.__setattr__(self, "_inverse_rows", bands)
+        object.__setattr__(self, "embedding", embedding)
 
     def _check_embedding(self) -> None:
         if self.embedding is not None and len(self.embedding) != len(self.y_index):
@@ -123,19 +145,28 @@ class Kernel:
 
     @classmethod
     def _trusted(
-        cls, carrier: Carrier, x_index: tuple, y_index: tuple, rows: tuple,
+        cls, carrier: Carrier, x_index: tuple, y_index: tuple, bands: tuple,
         embedding: tuple | None = None,
     ) -> "Kernel":
-        """A kernel whose rows are known to hold elements of the carrier,
-        one row per x label and one entry per y label, with an embedding
+        """A kernel from its bands, known to hold one band per x label,
+        each a tuple of (y position, value) pairs in y order whose values
+        are elements of the carrier other than bottom, with an embedding
         of the right length or none; builds it without checking."""
         p = object.__new__(cls)
-        object.__setattr__(p, "carrier", carrier)
-        object.__setattr__(p, "x_index", x_index)
-        object.__setattr__(p, "y_index", y_index)
-        object.__setattr__(p, "rows", rows)
-        object.__setattr__(p, "embedding", embedding)
+        p._store(carrier, x_index, y_index, bands, embedding)
         return p
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Dense form: rows[i][j] = p(x_i, y_j)."""
+        bot, width = self.carrier.bot, len(self.y_index)
+        out = []
+        for band in self._inverse_rows:
+            row = [bot] * width
+            for j, v in band:
+                row[j] = v
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def _x_pos(self) -> dict:
@@ -146,7 +177,14 @@ class Kernel:
         return {y: j for j, y in enumerate(self.y_index)}
 
     def entry(self, x, y):
-        return self.rows[self._x_pos[x]][self._y_pos[y]]
+        return self._at(self._x_pos[x], self._y_pos[y])
+
+    def _at(self, i: int, j: int):
+        """p(x_i, y_j), looked up in band i."""
+        for jj, v in self._inverse_rows[i]:
+            if jj == j:
+                return v
+        return self.carrier.bot
 
     @cached_property
     def epsilon(self) -> tuple:
@@ -173,27 +211,19 @@ class Kernel:
     @cached_property
     def _direct_cols(self) -> tuple:
         """Per y: the (x position, value) pairs with a non-bottom value,
-        in x order; the sparse transpose of `_inverse_rows`."""
+        in x order; the sparse transpose of the bands `_inverse_rows`."""
         cols = [[] for _ in self.y_index]
         for i, row in enumerate(self._inverse_rows):
             for j, v in row:
                 cols[j].append((i, v))
         return tuple(map(tuple, cols))
 
-    @cached_property
-    def _inverse_rows(self) -> tuple:
-        """Per x: the (y position, value) pairs with a non-bottom value."""
-        bot = self.carrier.bot
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v != bot) for row in self.rows
-        )
-
     def transpose(self) -> "Kernel":
         cols = tuple(
             tuple(self.rows[i][j] for i in range(len(self.x_index)))
             for j in range(len(self.y_index))
         )
-        return Kernel._trusted(self.carrier, self.y_index, self.x_index, cols)
+        return _from_rows(self.carrier, self.y_index, self.x_index, cols)
 
     def pointwise_join(self, others: Sequence["Kernel"]) -> "Kernel":
         join2 = self.carrier.join2
@@ -204,13 +234,13 @@ class Kernel:
                 tuple(join2(a, b) for a, b in zip(ra, rb))
                 for ra, rb in zip(rows, other.rows)
             )
-        return Kernel._trusted(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        return _from_rows(self.carrier, self.x_index, self.y_index, rows, self.embedding)
 
     def scale_left(self, q) -> "Kernel":
         mul = self.carrier.mul
         self.carrier.require(q)
         rows = tuple(tuple(mul(q, v) for v in row) for row in self.rows)
-        return Kernel._trusted(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        return _from_rows(self.carrier, self.x_index, self.y_index, rows, self.embedding)
 
     def _require_parallel(self, other: "Kernel") -> None:
         if (
@@ -219,6 +249,24 @@ class Kernel:
             or self.y_index != other.y_index
         ):
             raise CarrierMismatchError("kernels are not parallel")
+
+
+def _bands_of(rows, bot) -> tuple:
+    """Per row: the (position, value) pairs with a value other than bot."""
+    return tuple(
+        tuple((j, v) for j, v in enumerate(row) if v != bot) for row in rows
+    )
+
+
+def _from_rows(
+    carrier: Carrier, x_index: tuple, y_index: tuple, rows: tuple,
+    embedding: tuple | None = None,
+) -> Kernel:
+    """`Kernel._trusted` for dense rows of carrier elements, one row per
+    x label and one entry per y label; the kernel keeps them as `rows`."""
+    p = Kernel._trusted(carrier, x_index, y_index, _bands_of(rows, carrier.bot), embedding)
+    p.__dict__["rows"] = rows
+    return p
 
 
 def _direct(p: Kernel, f: ModuleVector, product) -> ModuleVector:
@@ -333,22 +381,22 @@ def classify_coder(p: Kernel) -> CoderClass:
     """
     q = p.carrier
     eps = p.epsilon
-    e, bot = q.unit, q.bot
-    diag = [p.rows[p._x_pos[ex]][j] for j, ex in enumerate(eps)]
+    e, bot, eq, mul = q.unit, q.bot, q.eq, q.mul
+    bands = p._inverse_rows
+    embedded = [p._x_pos[ex] for ex in eps]
+    diag = [p._at(i, j) for j, i in enumerate(embedded)]
     coder = all(q.leq(e, v) for v in diag)
-    normal = all(q.eq(v, e) for v in diag)
+    normal = all(eq(v, e) for v in diag)
+    # an entry outside the bands is bottom, which passes both tests below:
+    # it is bottom, and it multiplies to bottom on either side
     strong = normal and all(
-        q.eq(p.rows[p._x_pos[ex]][j2], bot)
-        for j1, ex in enumerate(eps)
-        for j2 in range(len(p.y_index))
-        if j1 != j2
+        eq(v, bot) for j1, i in enumerate(embedded) for j2, v in bands[i] if j2 != j1
     )
-    ncols = len(p.y_index)
     orthogonal = all(
-        q.eq(q.mul(row[j1], row[j2]), bot) and q.eq(q.mul(row[j2], row[j1]), bot)
-        for row in p.rows
-        for j1 in range(ncols)
-        for j2 in range(j1 + 1, ncols)
+        eq(mul(v1, v2), bot) and eq(mul(v2, v1), bot)
+        for band in bands
+        for k, (_, v1) in enumerate(band)
+        for _, v2 in band[k + 1 :]
     )
     return CoderClass(
         is_coder=coder,
@@ -370,7 +418,7 @@ def projective_coder(carrier: Carrier, x_index: Sequence, y_index: Sequence) -> 
     rows = tuple(
         tuple(e if x == y else bot for y in y_index) for x in x_index
     )
-    return Kernel._trusted(carrier, x_index, y_index, rows)
+    return _from_rows(carrier, x_index, y_index, rows)
 
 
 def _require_inclusion(p: Kernel) -> None:
@@ -399,7 +447,7 @@ def core(p: Kernel) -> Kernel:
     keep = set(support(p))
     cols = [j for j, y in enumerate(p.y_index) if y in keep]
     rows = tuple(tuple(row[j] for j in cols) for row in p.rows)
-    return Kernel._trusted(p.carrier, p.x_index, tuple(p.y_index[j] for j in cols), rows)
+    return _from_rows(p.carrier, p.x_index, tuple(p.y_index[j] for j in cols), rows)
 
 
 def is_irreducible(p: Kernel) -> bool:
@@ -424,7 +472,7 @@ def projective_extension(p: Kernel, z_index: Sequence) -> Kernel:
                 for z in z_index
             )
         )
-    return Kernel._trusted(p.carrier, p.x_index, z_index, tuple(rows))
+    return _from_rows(p.carrier, p.x_index, z_index, tuple(rows))
 
 
 def kernel_closure(p: Kernel) -> Kernel:
@@ -487,7 +535,7 @@ def random_kernel(
     rows = tuple(
         tuple(rng.choice(els) for _ in y_index) for _ in x_index
     )
-    p = Kernel._trusted(carrier, x_index, y_index, rows, embedding)
+    p = _from_rows(carrier, x_index, y_index, rows, embedding)
     p._check_embedding()
     return p
 
@@ -509,7 +557,7 @@ def random_strong_kernel(
             rows.append(tuple(e if y == x else bot for y in y_index))
         else:
             rows.append(tuple(rng.choice(els) for _ in y_index))
-    return Kernel._trusted(carrier, x_index, y_index, tuple(rows))
+    return _from_rows(carrier, x_index, y_index, tuple(rows))
 
 
 def save_kernel(p: Kernel, path) -> None:

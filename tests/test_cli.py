@@ -503,6 +503,18 @@ def test_options_are_given_only_where_they_act(ramp55, tmp_path, capsys):
         assert exit_.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "r.pgm").exists() and not (tmp_path / "m.pgm").exists()
+    # only the partition-file method reads --partition, so the triangular
+    # basis refuses it, even a file that does not exist
+    save_partition(tmp_path / "part.txt", luk_partition(3, 5, ChainQuantale(4)))
+    for part in (tmp_path / "missing.txt", tmp_path / "part.txt"):
+        for argv in (
+            ["compress", str(ramp55), str(tmp_path / "d.coef"), "--n", "3", "--partition", str(part)],
+            ["reconstruct", str(coef), str(tmp_path / "r.pgm"), "--partition", str(part)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: --partition is read only by the partition-file method\n"
+    assert not (tmp_path / "d.coef").exists() and not (tmp_path / "r.pgm").exists()
 
 
 def test_pixel_rounding_halves_up():
@@ -682,6 +694,32 @@ def test_int64_path_edges():
     assert _int64_numpy(ChainQuantale(D_EDGE), 255) is not None
     assert _int64_numpy(FloatUnitQuantale(LUKASIEWICZ), 255) is None
     assert 511 * D_EDGE == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "blocked", (pytest.param(False, marks=needs_numpy), True), ids=("int64", "per-vector")
+)
+def test_codec_never_builds_dense_rows(tmp_path, monkeypatch, blocked):
+    """Compress and reconstruct read the triangular kernels' bands only,
+    on the int64 path and one vector at a time; the misaligned height
+    carries an explicit embedding."""
+    import qkit.cli as cli
+
+    built = []
+
+    def recorded(*args):
+        built.append(luk_kernel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "luk_kernel", recorded)
+    write_pgm(tmp_path / "img.pgm", ramp_image(33, 12, 255))
+    coef, back = tmp_path / "a.coef", tmp_path / "back.pgm"
+    with numpy_blocked() if blocked else contextlib.nullcontext():
+        assert main(["compress", str(tmp_path / "img.pgm"), str(coef), "--n", "5"]) == 0
+        assert main(["reconstruct", str(coef), str(back)]) == 0
+        int64 = _int64_numpy(built[0].carrier, 255) is not None
+    assert int64 != blocked and len(built) == 4
+    assert not any("rows" in kernel.__dict__ for kernel in built)
 
 
 def run_python(code, *args):

@@ -86,6 +86,22 @@ def test_left_and_right_residuals_differ_on_noncommutative_carrier():
 
 @pytest.mark.parametrize(
     "carrier",
+    [ChainQuantale(d, t) for d in (1, 4, 255) for t in ("lukasiewicz", "godel")]
+    + [FloatUnitQuantale(t) for t in ("lukasiewicz", "godel", "product")],
+    ids=str,
+)
+def test_left_residual_is_the_right_one_swapped_on_commutative_carriers(carrier):
+    """Chains and the unit interval write lres out instead of calling
+    rres; on these commutative carriers both give the same value, of the
+    same type, on every level pair or every pair of the float grid."""
+    els = tuple(carrier.elements()) if carrier.is_finite else carrier.grid()
+    for x, z in itertools.product(els, repeat=2):
+        got, want = carrier.lres(x, z), carrier.rres(z, x)
+        assert got == want and type(got) is type(want), (x, z)
+
+
+@pytest.mark.parametrize(
+    "carrier",
     [ChainQuantale(d, t) for d in (2, 4) for t in ("lukasiewicz", "godel")] + [Z3],
     ids=str,
 )

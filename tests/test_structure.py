@@ -3,13 +3,21 @@
 numpy is an optional extra that costs start-up time and memory, so one
 private module holds every use of it.  Code outside the carriers asks
 a carrier through its API (`denominator`, `ratio`, `fraction`, ...)
-instead of testing which concrete carrier it is.
+instead of testing which concrete carrier it is.  A kernel's dense
+`rows` cost |X| |Y| entries, so the transforms and the builders of the
+translate and triangular kernels work on its bands only.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkit"
 CONCRETE_CARRIERS = {"ChainQuantale", "FloatUnitQuantale"}
+BAND_ONLY = {
+    "transform.py": ("_direct", "_inverse"),
+    "_int64.py": ("_array_direct", "_array_inverse"),
+    "morphology.py": ("kernel_of_structuring",),
+    "fuzzy.py": ("luk_kernel",),
+}
 
 
 def _trees():
@@ -55,4 +63,22 @@ def test_no_isinstance_names_a_concrete_carrier():
         and len(node.args) == 2
         and _names(node.args[1]) & CONCRETE_CARRIERS
     ]
+    assert found == []
+
+
+def test_hot_paths_never_read_dense_rows():
+    trees = _trees()
+    found = []
+    for module, names in BAND_ONLY.items():
+        functions = {
+            node.name: node
+            for node in trees[module].body
+            if isinstance(node, ast.FunctionDef)
+        }
+        found += [
+            f"{module}:{name}:{node.lineno}"
+            for name in names
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Attribute) and node.attr == "rows"
+        ]
     assert found == []

@@ -3,6 +3,7 @@ import os
 import re
 import random
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,85 @@ def test_classification_grades_and_implications():
     assert c.is_orthonormal  # 2*2 = max(0, 2+2-4) = 0 under this product
     with pytest.raises(ValueError):
         CoderClass(True, True, False, True, True)
+
+
+def _dense_classify(p):
+    """classify_coder as it was written over the dense rows, kept as the
+    reference of the walk over the bands."""
+    q = p.carrier
+    eps = p.epsilon
+    e, bot = q.unit, q.bot
+    diag = [p.rows[p._x_pos[ex]][j] for j, ex in enumerate(eps)]
+    coder = all(q.leq(e, v) for v in diag)
+    normal = all(q.eq(v, e) for v in diag)
+    strong = normal and all(
+        q.eq(p.rows[p._x_pos[ex]][j2], bot)
+        for j1, ex in enumerate(eps)
+        for j2 in range(len(p.y_index))
+        if j1 != j2
+    )
+    ncols = len(p.y_index)
+    orthogonal = all(
+        q.eq(q.mul(row[j1], row[j2]), bot) and q.eq(q.mul(row[j2], row[j1]), bot)
+        for row in p.rows
+        for j1 in range(ncols)
+        for j2 in range(j1 + 1, ncols)
+    )
+    return CoderClass(coder, normal, strong, orthogonal, orthogonal and normal)
+
+
+def _grade_values(q):
+    """Values near bottom, values near the unit, and any value.  On the
+    unit interval "near" takes in values within the tolerance and the
+    integers 0 and 1; bottom and the unit come up as often as the rest,
+    so that every grade occurs."""
+    if q.is_finite:
+        low, high = st.just(q.bot), st.just(q.unit)
+        other = st.sampled_from(tuple(q.elements()))
+    else:
+        low, high = st.sampled_from((0.0, 1e-12, 0)), st.sampled_from((1.0, 1.0 - 1e-12, 1))
+        other = st.one_of(st.just(0.5), st.floats(0.0, 1.0))
+    return low, high, st.one_of(low, high, other)
+
+
+@pytest.mark.parametrize(
+    "q",
+    (
+        Q4,
+        ChainQuantale(4, GODEL),
+        FloatUnitQuantale(),
+        FloatUnitQuantale(PRODUCT),
+        PowersetMonoidQuantale(Monoid.symmetric(3)),
+    ),
+    ids=repr,
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_classify_coder_matches_the_dense_reference(q, data):
+    nx = data.draw(st.integers(1, 5))
+    X = tuple(range(nx))
+    Y = tuple(sorted(data.draw(st.sets(st.sampled_from(X), min_size=1))))
+    low, high, value = _grade_values(q)
+    rows = [[data.draw(value) for _ in Y] for _ in X]
+    if data.draw(st.booleans()):  # (near) projection rows under the labels of Y
+        for j, y in enumerate(Y):
+            rows[y] = [data.draw(high if jj == j else low) for jj in range(len(Y))]
+    embedding = data.draw(st.one_of(st.none(), st.tuples(*(st.sampled_from(X) for _ in Y))))
+    p = Kernel(q, X, Y, tuple(map(tuple, rows)), embedding)
+    assert classify_coder(p) == _dense_classify(p)
+
+
+@pytest.mark.parametrize("q", (None, FloatUnitQuantale(), FloatUnitQuantale(PRODUCT)), ids=repr)
+@pytest.mark.parametrize("n, l", ((2, 2), (3, 5), (5, 17), (9, 33), (3, 6), (4, 11), (6, 20)))
+def test_classify_coder_matches_the_dense_reference_on_luk_kernels(q, n, l):
+    # (3, 6), (4, 11) and (6, 20) miss the peaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridAlignmentWarning)
+        p = luk_kernel(n, l, q)
+    grades = classify_coder(p)
+    assert grades == _dense_classify(p)
+    aligned = (l - 1) % (n - 1) == 0
+    assert grades.is_strong == aligned and grades.is_coder == aligned
 
 
 def test_strong_kernels_reconstruct_exactly():
