@@ -230,6 +230,8 @@ def _carrier(args, d: int) -> Carrier:
 
 
 def cmd_compress(args) -> int:
+    if args.method != "luk" and args.n is not None:
+        raise ValueError("--n is read only by the luk method")
     img = read_pgm(args.image)
     if args.method == "luk":
         if args.n is None or args.n < 2:

@@ -9,13 +9,15 @@ table satisfying the covering condition (every node is seen by some
 basis function) and the density condition (every basis function sees
 some node).  The upper and lower transforms are the kernel transforms
 of the partition's node-by-component kernel and of its transpose, run
-by `apply_direct`/`apply_inverse`; only the join variant of the lower
-transform, which is no kernel transform, is written out.
+by `apply_direct`/`apply_inverse`: f_up is the join of products, f_down
+the meet of residua.
 
 The basis is sampled in integer arithmetic, p_k(j) = max(0, L -
 |N j - k L|) / L with L = l-1 and N = n-1, and scaled onto integer
 chain levels, so orthonormality and reconstruction checks are exact
-rather than tolerance-based.
+rather than tolerance-based.  One loop computes the hats that cover
+each node; it gives the triangular kernel its bands and the triangular
+partition its table.
 
 Partition files are tables in the carrier's text form (see
 `qkit.quantale`): values are written with the carrier's `format`, and
@@ -40,7 +42,7 @@ from qkit.quantale import (
     parse_integer,
 )
 from qkit.qmodule import ModuleVector
-from qkit.transform import Kernel, _from_rows, apply_direct, apply_inverse
+from qkit.transform import Kernel, _bands_of, apply_direct, apply_inverse
 
 
 class GridAlignmentWarning(UserWarning):
@@ -77,11 +79,21 @@ def _default_carrier(n: int, l: int) -> ChainQuantale:
     return ChainQuantale(math.lcm(l - 1, n - 1), LUKASIEWICZ)
 
 
-def _basis_grid(n: int, l: int, carrier: Carrier) -> list[list]:
-    # grid[k][j] = p_k at node j/L = max(0, L - |N j - k L|) / L
+def _hat_bands(n: int, l: int, carrier: Carrier) -> tuple:
+    """Per node j, the (k, p_k(j)) pairs with p_k(j) > 0, in k order."""
     L, N = l - 1, n - 1
-    nums = [[max(0, L - abs(N * j - k * L)) for j in range(l)] for k in range(n)]
-    return [[carrier.ratio(v, L) for v in row] for row in nums]
+    # node j lies in the hats of k = N j // L and k + 1 only; every entry
+    # is carrier.ratio of a level p_k(j) L in 1..L
+    bands = []
+    for j in range(l):
+        k0 = N * j // L
+        band = []
+        for k in range(k0, min(k0 + 2, n)):
+            v = L - abs(N * j - k * L)
+            if v > 0:
+                band.append((k, carrier.ratio(v, L)))
+        bands.append(tuple(band))
+    return tuple(bands)
 
 
 def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
@@ -117,18 +129,8 @@ def luk_kernel(n: int, l: int, carrier: Carrier | None = None) -> Kernel:
             GridAlignmentWarning,
             stacklevel=2,
         )
-    # node j lies in the hats of k = N j // L and k + 1 only; every entry
-    # is carrier.ratio of a level p_k(j) L in 1..L
-    bands = []
-    for j in range(l):
-        k0 = N * j // L
-        band = []
-        for k in range(k0, min(k0 + 2, n)):
-            v = L - abs(N * j - k * L)
-            if v > 0:
-                band.append((k, carrier.ratio(v, L)))
-        bands.append(tuple(band))
-    return Kernel._trusted(carrier, tuple(range(l)), y_index, tuple(bands), embedding)
+    bands = _hat_bands(n, l, carrier)
+    return Kernel._trusted(carrier, tuple(range(l)), y_index, bands, embedding)
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,9 @@ class FuzzyPartition:
 
     @cached_property
     def _kernel(self) -> Kernel:
-        rows = tuple(zip(*self.table))
         # __post_init__ checked every entry of the table
-        return _from_rows(self.carrier, tuple(range(self.l)), tuple(range(self.n)), rows)
+        bands = _bands_of(zip(*self.table), self.carrier.bot)
+        return Kernel._trusted(self.carrier, tuple(range(self.l)), tuple(range(self.n)), bands)
 
     def kernel(self) -> Kernel:
         """Node-by-component kernel whose direct transform is f_up."""
@@ -190,7 +192,11 @@ def luk_partition(n: int, l: int, carrier: Carrier | None = None) -> FuzzyPartit
     if n == 1:
         # degenerate single basis: constant unit, trivially covering and dense
         return FuzzyPartition(carrier, ((carrier.unit,) * l,))
-    return FuzzyPartition(carrier, tuple(tuple(row) for row in _basis_grid(n, l, carrier)))
+    table = [[carrier.bot] * l for _ in range(n)]
+    for j, band in enumerate(_hat_bands(n, l, carrier)):
+        for k, v in band:
+            table[k][j] = v
+    return FuzzyPartition(carrier, table)
 
 
 def _samples(partition: FuzzyPartition, f: Sequence) -> ModuleVector:
@@ -218,24 +224,12 @@ def f_up_inverse(partition: FuzzyPartition, coeffs: Sequence) -> tuple:
     return apply_inverse(partition.kernel(), _coefficients(partition, coeffs)).values
 
 
-def f_down(partition: FuzzyPartition, f: Sequence, variant: str = "join") -> tuple:
-    """Lower coefficients as the join over nodes of residua.
-
-    The join form is the default.  The meet variant, the inverse
-    transform of the transposed partition kernel, is the one that forms
-    an adjoint pair with f_down_inverse (reconstruction below the
-    input), so both are kept.
-    """
-    vals = _samples(partition, f)
-    if variant == "join":
-        q = partition.carrier
-        return tuple(
-            q.join(q.lres(a, v) for a, v in zip(row, vals.values))
-            for row in partition.table
-        )
-    if variant == "meet":
-        return apply_inverse(partition.kernel().transpose(), vals).values
-    raise ValueError(f"unknown variant {variant!r}, expected 'join' or 'meet'")
+def f_down(partition: FuzzyPartition, f: Sequence) -> tuple:
+    """Lower coefficients, the meet over nodes of residua: the inverse
+    transform of the transposed partition kernel.  With f_down_inverse
+    it forms an adjoint pair whose reconstruction stays below the input."""
+    kt = partition.kernel().transpose()
+    return apply_inverse(kt, _samples(partition, f)).values
 
 
 def f_down_inverse(partition: FuzzyPartition, coeffs: Sequence) -> tuple:

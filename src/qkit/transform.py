@@ -35,9 +35,11 @@ Values are checked where they enter: the public `Kernel` and
 `ModuleVector` constructors, `load_kernel`, and the scalar handed to
 `scale_left`.  Results of carrier operations on checked values are
 trusted: transforms, transposes, joins, the random and projective
-kernels, cores and extensions are built by the private `_trusted`
-constructors, which check nothing; a kernel from dense rows goes
-through `_from_rows`, which scans them into bands once.
+kernels, cores and extensions are built from their bands by the private
+`_trusted` constructors, which check nothing.  Only the public `Kernel`
+takes dense rows, from a caller or a file; every kernel the library
+makes it builds band by band, or column by column through `transpose`,
+which swaps a kernel's bands and columns.
 `kernel_of_hom` and `lift_through_projection` tabulate user-supplied
 maps, so their kernels are checked.
 """
@@ -219,28 +221,31 @@ class Kernel:
         return tuple(map(tuple, cols))
 
     def transpose(self) -> "Kernel":
-        cols = tuple(
-            tuple(self.rows[i][j] for i in range(len(self.x_index)))
-            for j in range(len(self.y_index))
-        )
-        return _from_rows(self.carrier, self.y_index, self.x_index, cols)
+        """The kernel over Y x X: its bands are this kernel's columns, and
+        its columns this kernel's bands."""
+        t = Kernel._trusted(self.carrier, self.y_index, self.x_index, self._direct_cols)
+        t.__dict__["_direct_cols"] = self._inverse_rows
+        return t
 
     def pointwise_join(self, others: Sequence["Kernel"]) -> "Kernel":
         join2 = self.carrier.join2
-        rows = self.rows
+        bands = self._inverse_rows
         for other in others:
             self._require_parallel(other)
-            rows = tuple(
-                tuple(join2(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(rows, other.rows)
+            bands = tuple(
+                _merge(band, oband, join2) for band, oband in zip(bands, other._inverse_rows)
             )
-        return _from_rows(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        return Kernel._trusted(self.carrier, self.x_index, self.y_index, bands, self.embedding)
 
     def scale_left(self, q) -> "Kernel":
-        mul = self.carrier.mul
+        """q . p; entries that multiply to bottom leave the bands."""
+        mul, bot = self.carrier.mul, self.carrier.bot
         self.carrier.require(q)
-        rows = tuple(tuple(mul(q, v) for v in row) for row in self.rows)
-        return _from_rows(self.carrier, self.x_index, self.y_index, rows, self.embedding)
+        bands = tuple(
+            tuple((j, w) for j, v in band for w in (mul(q, v),) if w != bot)
+            for band in self._inverse_rows
+        )
+        return Kernel._trusted(self.carrier, self.x_index, self.y_index, bands, self.embedding)
 
     def _require_parallel(self, other: "Kernel") -> None:
         if (
@@ -258,15 +263,19 @@ def _bands_of(rows, bot) -> tuple:
     )
 
 
-def _from_rows(
-    carrier: Carrier, x_index: tuple, y_index: tuple, rows: tuple,
-    embedding: tuple | None = None,
-) -> Kernel:
-    """`Kernel._trusted` for dense rows of carrier elements, one row per
-    x label and one entry per y label; the kernel keeps them as `rows`."""
-    p = Kernel._trusted(carrier, x_index, y_index, _bands_of(rows, carrier.bot), embedding)
-    p.__dict__["rows"] = rows
-    return p
+def _merge(a: tuple, b: tuple, join2) -> tuple:
+    """Two bands joined entry by entry; an entry in one band only is kept
+    as it is, since joining it with bottom leaves it."""
+    merged = dict(a)
+    for j, v in b:
+        merged[j] = join2(merged[j], v) if j in merged else v
+    return tuple(sorted(merged.items()))
+
+
+def _same_band(a: tuple, b: tuple, eq, bot) -> bool:
+    """Two bands agree under eq at every position, bottom filling the gaps."""
+    da, db = dict(a), dict(b)
+    return all(eq(da.get(j, bot), db.get(j, bot)) for j in da.keys() | db.keys())
 
 
 def _direct(p: Kernel, f: ModuleVector, product) -> ModuleVector:
@@ -414,11 +423,11 @@ def projective_coder(carrier: Carrier, x_index: Sequence, y_index: Sequence) -> 
     for y in y_index:
         if y not in xs:
             raise EmbeddingError(f"label {y!r} of Y does not occur in X")
-    e, bot = carrier.unit, carrier.bot
-    rows = tuple(
-        tuple(e if x == y else bot for y in y_index) for x in x_index
-    )
-    return _from_rows(carrier, x_index, y_index, rows)
+    at = {}
+    for j, y in enumerate(y_index):
+        at.setdefault(y, []).append((j, carrier.unit))
+    bands = tuple(tuple(at.get(x, ())) for x in x_index)
+    return Kernel._trusted(carrier, x_index, y_index, bands)
 
 
 def _require_inclusion(p: Kernel) -> None:
@@ -430,24 +439,20 @@ def support(p: Kernel) -> tuple:
     """Labels whose column differs from the matching projection column."""
     _require_inclusion(p)
     q = p.carrier
-    e, bot = q.unit, q.bot
-    out = []
-    for j, y in enumerate(p.y_index):
-        projective = all(
-            q.eq(row[j], e if x == y else bot)
-            for x, row in zip(p.x_index, p.rows)
-        )
-        if not projective:
-            out.append(y)
-    return tuple(out)
+    projection = projective_coder(q, p.x_index, p.y_index)._direct_cols
+    return tuple(
+        y
+        for y, col, pcol in zip(p.y_index, p._direct_cols, projection)
+        if not _same_band(col, pcol, q.eq, q.bot)
+    )
 
 
 def core(p: Kernel) -> Kernel:
     """Restriction of the kernel to its support columns."""
     keep = set(support(p))
-    cols = [j for j, y in enumerate(p.y_index) if y in keep]
-    rows = tuple(tuple(row[j] for j in cols) for row in p.rows)
-    return _from_rows(p.carrier, p.x_index, tuple(p.y_index[j] for j in cols), rows)
+    y_index = tuple(y for y in p.y_index if y in keep)
+    cols = tuple(col for y, col in zip(p.y_index, p._direct_cols) if y in keep)
+    return Kernel._trusted(p.carrier, y_index, p.x_index, cols).transpose()
 
 
 def is_irreducible(p: Kernel) -> bool:
@@ -462,17 +467,10 @@ def projective_extension(p: Kernel, z_index: Sequence) -> Kernel:
     xs = set(p.x_index)
     if not set(p.y_index) <= zs or not zs <= xs:
         raise EmbeddingError("need Y inside Z inside X")
-    e, bot = p.carrier.unit, p.carrier.bot
-    ypos = p._y_pos
-    rows = []
-    for x, row in zip(p.x_index, p.rows):
-        rows.append(
-            tuple(
-                row[ypos[z]] if z in ypos else (e if x == z else bot)
-                for z in z_index
-            )
-        )
-    return _from_rows(p.carrier, p.x_index, z_index, tuple(rows))
+    ypos, cols = p._y_pos, p._direct_cols
+    projection = projective_coder(p.carrier, p.x_index, z_index)._direct_cols
+    ext = tuple(cols[ypos[z]] if z in ypos else pcol for z, pcol in zip(z_index, projection))
+    return Kernel._trusted(p.carrier, z_index, p.x_index, ext).transpose()
 
 
 def kernel_closure(p: Kernel) -> Kernel:
@@ -494,9 +492,9 @@ def equivalent_up_to_projections(p: Kernel, p2: Kernel) -> bool:
 def _same_kernel(a: Kernel, b: Kernel) -> bool:
     if a.y_index != b.y_index:
         return False
-    eq = a.carrier.eq
+    q = a.carrier
     return all(
-        eq(u, v) for ra, rb in zip(a.rows, b.rows) for u, v in zip(ra, rb)
+        _same_band(ra, rb, q.eq, q.bot) for ra, rb in zip(a._inverse_rows, b._inverse_rows)
     )
 
 
@@ -535,7 +533,7 @@ def random_kernel(
     rows = tuple(
         tuple(rng.choice(els) for _ in y_index) for _ in x_index
     )
-    p = _from_rows(carrier, x_index, y_index, rows, embedding)
+    p = Kernel._trusted(carrier, x_index, y_index, _bands_of(rows, carrier.bot), embedding)
     p._check_embedding()
     return p
 
@@ -557,7 +555,7 @@ def random_strong_kernel(
             rows.append(tuple(e if y == x else bot for y in y_index))
         else:
             rows.append(tuple(rng.choice(els) for _ in y_index))
-    return _from_rows(carrier, x_index, y_index, tuple(rows))
+    return Kernel._trusted(carrier, x_index, y_index, _bands_of(rows, carrier.bot))
 
 
 def save_kernel(p: Kernel, path) -> None:

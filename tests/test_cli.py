@@ -517,6 +517,23 @@ def test_options_are_given_only_where_they_act(ramp55, tmp_path, capsys):
     assert not (tmp_path / "d.coef").exists() and not (tmp_path / "r.pgm").exists()
 
 
+def test_partition_file_method_refuses_n(ramp55, tmp_path, capsys):
+    """A partition fixes n, so the partition-file method refuses --n with
+    one error line and writes nothing, whether or not the file exists."""
+    save_partition(tmp_path / "part.txt", luk_partition(3, 5, ChainQuantale(4)))
+    out = tmp_path / "p.coef"
+    for part in (tmp_path / "missing.txt", tmp_path / "part.txt"):
+        for n in ("99", "3"):
+            argv = ["compress", str(ramp55), str(out), "--method", "partition-file"]
+            assert main([*argv, "--partition", str(part), "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: --n is read only by the luk method\n"
+            assert captured.out == ""
+    assert not out.exists()
+    argv = ["compress", str(ramp55), str(out), "--method", "partition-file"]
+    assert main([*argv, "--partition", str(tmp_path / "part.txt")]) == 0
+
+
 def test_pixel_rounding_halves_up():
     q = ChainQuantale(8, LUKASIEWICZ)
     assert _pixels_from_levels(q, (8,), 4) == (4,)

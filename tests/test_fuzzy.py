@@ -241,18 +241,17 @@ def test_f_up_constants_and_single_basis():
         assert f_up(part, (c,) * 5) == (c,) * 3
     single = luk_partition(1, 3, carrier=ChainQuantale(4, LUKASIEWICZ))
     assert f_up(single, (1, 3, 2)) == (3,)
-    assert f_down(single, (1, 3, 2)) == (3,)
-    assert f_down(single, (1, 3, 2), variant="meet") == (1,)
+    assert f_down(single, (1, 3, 2)) == (1,)
 
 
 def test_f_down_frozen_ramp():
     part = luk_partition(3, 5)
     ramp = (0, 1, 2, 3, 4)
-    low = f_down(part, ramp, variant="meet")
+    low = f_down(part, ramp)
     assert low == (0, 2, 4)
     back = f_down_inverse(part, low)
     assert back == (0, 0, 2, 2, 4)
-    # meet-variant reconstruction stays below the input pointwise
+    # lower reconstruction stays below the input pointwise
     assert all(b <= a for a, b in zip(ramp, back))
 
 
@@ -287,7 +286,7 @@ def test_f_up_matches_reference_on_float_carriers():
             c = tuple(rng.random() for _ in range(part.n))
             assert f_up(part, f) == ref_f_up(part, f)
             assert f_up_inverse(part, c) == ref_f_up_inverse(part, c)
-            assert f_down(part, f, variant="meet") == ref_f_down_meet(part, f)
+            assert f_down(part, f) == ref_f_down_meet(part, f)
             assert f_down_inverse(part, c) == ref_f_down_inverse(part, c)
 
 
@@ -298,7 +297,7 @@ def test_f_down_matches_transposed_kernel_transform():
     for _ in range(40):
         f = random_vector(part.carrier, tuple(range(part.l)), rng)
         meet_form = ref_f_down_meet(part, f.values)
-        assert f_down(part, f.values, variant="meet") == meet_form
+        assert f_down(part, f.values) == meet_form
         assert meet_form == apply_inverse(kt, f).values
         g = random_vector(part.carrier, tuple(range(part.n)), rng)
         assert f_down_inverse(part, g.values) == ref_f_down_inverse(part, g.values)
@@ -310,10 +309,8 @@ def test_f_down_dual_adjunction():
     part = luk_partition(3, 5)
     for _ in range(60):
         f = tuple(rng.randrange(0, 5) for _ in range(5))
-        back = f_down_inverse(part, f_down(part, f, variant="meet"))
+        back = f_down_inverse(part, f_down(part, f))
         assert all(b <= a for a, b in zip(f, back))
-    with pytest.raises(ValueError):
-        f_down(part, (0, 0, 0, 0, 0), variant="avg")
 
 
 def test_sample_length_checked():

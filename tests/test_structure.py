@@ -4,19 +4,23 @@ numpy is an optional extra that costs start-up time and memory, so one
 private module holds every use of it.  Code outside the carriers asks
 a carrier through its API (`denominator`, `ratio`, `fraction`, ...)
 instead of testing which concrete carrier it is.  A kernel's dense
-`rows` cost |X| |Y| entries, so the transforms and the builders of the
-translate and triangular kernels work on its bands only.
+`rows` cost |X| |Y| entries, so every kernel the package builds, and
+every transform, works on its bands only: in the modules that build or
+apply kernels, only the functions named in `ROWS_READERS` may read
+`.rows`.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkit"
 CONCRETE_CARRIERS = {"ChainQuantale", "FloatUnitQuantale"}
-BAND_ONLY = {
-    "transform.py": ("_direct", "_inverse"),
-    "_int64.py": ("_array_direct", "_array_inverse"),
-    "morphology.py": ("kernel_of_structuring",),
-    "fuzzy.py": ("luk_kernel",),
+# the public constructor keeps the rows it is given, `Kernel.rows`
+# derives them, and the text form writes them out
+ROWS_READERS = {
+    "transform.py": {"Kernel.__init__", "Kernel.rows", "save_kernel"},
+    "fuzzy.py": set(),
+    "morphology.py": set(),
+    "_int64.py": set(),
 }
 
 
@@ -66,19 +70,44 @@ def test_no_isinstance_names_a_concrete_carrier():
     assert found == []
 
 
-def test_hot_paths_never_read_dense_rows():
-    trees = _trees()
+def _rows_reads(tree):
+    """(qualified name of the enclosing function or class, line) of every
+    `.rows` read in tree, "" outside any.  A `.rows()` call is an image's
+    row view, not a kernel's rows, and is left out."""
+    calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     found = []
-    for module, names in BAND_ONLY.items():
-        functions = {
-            node.name: node
-            for node in trees[module].body
-            if isinstance(node, ast.FunctionDef)
-        }
-        found += [
-            f"{module}:{name}:{node.lineno}"
-            for name in names
-            for node in ast.walk(functions[name])
-            if isinstance(node, ast.Attribute) and node.attr == "rows"
-        ]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "rows" and id(child) not in calls:
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_named_functions_read_dense_rows():
+    trees = _trees()
+    found = [
+        f"{module}:{scope or '<module>'}:{line}"
+        for module, allowed in ROWS_READERS.items()
+        for scope, line in _rows_reads(trees[module])
+        if scope not in allowed
+    ]
     assert found == []
+
+
+def test_the_rows_rule_sees_methods_and_nested_functions():
+    tree = ast.parse(
+        "class K:\n"
+        "    def f(self, p):\n"
+        "        def g():\n"
+        "            return p.rows\n"
+        "        return image.rows(), g\n"
+        "x = k.rows\n"
+    )
+    assert _rows_reads(tree) == [("K.f.g", 4), ("", 6)]
